@@ -147,14 +147,14 @@ def char_cnn_trace(chars: np.ndarray, params: CharCnnParams) -> tuple[np.ndarray
             seq = np.concatenate(
                 [np.full(width - len(seq), PAD_INDEX, dtype=np.int64), seq]
             )
-        window_ids = np.lib.stride_tricks.sliding_window_view(seq, width)
-        n_windows = window_ids.shape[0]
+        n_windows = len(seq) - width + 1
+        window_ids = seq[np.arange(n_windows)[:, None] + np.arange(width)]  # (P, k)
         embedded = params.char_table[window_ids].reshape(n_windows, -1)
         pre = embedded @ filters.reshape(filters.shape[0], -1).T + bias
         scores = np.maximum(pre, 0.0)
         best = np.argmax(scores, axis=0)
         outputs.append(scores[best, np.arange(scores.shape[1])])
-        trace.window_ids.append(np.ascontiguousarray(window_ids))
+        trace.window_ids.append(window_ids)
         trace.pre.append(pre)
         trace.best.append(best)
     return np.concatenate(outputs), trace

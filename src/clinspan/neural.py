@@ -16,6 +16,19 @@ GRU cell convention (fixed throughout):
 Recurrent dropout is variational: one mask per chunk per direction, applied
 to h_prev where it enters the gates (the state carry itself is undropped).
 
+Compute layout.  Within a batch the char CNN runs once per distinct char-id
+sequence among the real slots, and each slot gathers its vector through an
+index; backward sums the slots' gradients per sequence before going through
+that sequence's trace once, which is exact because the char CNN's backward
+is linear in its output gradient.  GRU parameters are stored per gate (the
+archive layout) and stacked where they are used: each direction does one
+(B*T, D) x (D, 3H) input projection before its time loop, then one
+h U_zr^T GEMM for both sigmoid gates and one (r * h) U_h^T GEMM per step.
+The backward loop carries only dh and keeps every step's z | r | h
+pre-activation deltas, so the weight, bias and input gradients are one GEMM
+each after the loop (the fused-gate layout of Appleyard, Kocisky & Blunsom
+2016, arXiv:1604.01946).
+
 Phase separation contract: forward/backward over distinct chunks may run
 concurrently against a frozen parameter snapshot; the optimizer step is the
 single writer and must not interleave with reads.
@@ -306,12 +319,9 @@ def apply_dropout(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as 0.5 * (1 + tanh(x / 2)): no exp, so no overflow,
+    and exactly 0 and 1 far out in the tails."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -332,12 +342,22 @@ def gru_cell_forward(
 
 @dataclass
 class DirectionCache:
-    z: np.ndarray  # (B, T, H) by position
-    r: np.ndarray
-    candidate: np.ndarray
-    states: np.ndarray  # (B, T+1, H) by processing step; states[:, 0] = 0
-    order: np.ndarray  # processing order of positions
-    out: np.ndarray  # (B, T, H), zero at pads
+    gates: np.ndarray  # (B, T, 3H) by position: z | r | candidate
+    h_prev: np.ndarray  # (B, T, H) by position: state entering the step
+    reverse: bool
+
+
+def _stacked(p: GruDirectionParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gate tensors stacked for compute: W (3H, D), U_zr (2H, H), b (3H,)."""
+    return (
+        np.concatenate([p.w_z, p.w_r, p.w_h]),
+        np.concatenate([p.u_z, p.u_r]),
+        np.concatenate([p.b_z, p.b_r, p.b_h]),
+    )
+
+
+def _positions(t_len: int, reverse: bool) -> range:
+    return range(t_len - 1, -1, -1) if reverse else range(t_len)
 
 
 def _direction_forward(
@@ -346,39 +366,45 @@ def _direction_forward(
     p: GruDirectionParams,
     rec_mask: np.ndarray | None,
     reverse: bool,
+    out: np.ndarray,
 ) -> DirectionCache:
-    b, t_len, _ = x.shape
+    """Run one direction, writing its states into ``out`` (B, T, H), zero at pads."""
+    b, t_len, d = x.shape
     h_size = p.hidden
-    z_all = np.zeros((b, t_len, h_size))
-    r_all = np.zeros((b, t_len, h_size))
-    c_all = np.zeros((b, t_len, h_size))
-    states = np.zeros((b, t_len + 1, h_size))
-    out = np.zeros((b, t_len, h_size))
-    order = np.arange(t_len - 1, -1, -1) if reverse else np.arange(t_len)
+    w, u_zr, bias = _stacked(p)
+    # Input projections of every position in one GEMM; each step then
+    # overwrites its slice with the gate activations z | r | candidate.
+    gates = x.reshape(b * t_len, d) @ w.T
+    gates += bias
+    gates = gates.reshape(b, t_len, 3 * h_size)
+    h_prev = np.empty((b, t_len, h_size))
+    real = mask > 0
     h = np.zeros((b, h_size))
-    for step, t in enumerate(order):
+    for t in _positions(t_len, reverse):
+        h_prev[:, t] = h
         hd = h * rec_mask if rec_mask is not None else h
-        xt = x[:, t]
-        z = _sigmoid(xt @ p.w_z.T + hd @ p.u_z.T + p.b_z)
-        r = _sigmoid(xt @ p.w_r.T + hd @ p.u_r.T + p.b_r)
-        candidate = np.tanh(xt @ p.w_h.T + (r * hd) @ p.u_h.T + p.b_h)
+        g = gates[:, t]
+        pre_zr = hd @ u_zr.T
+        pre_zr += g[:, : 2 * h_size]
+        g[:, : 2 * h_size] = _sigmoid(pre_zr)
+        z = g[:, :h_size]
+        r = g[:, h_size : 2 * h_size]
+        pre_h = (r * hd) @ p.u_h.T
+        pre_h += g[:, 2 * h_size :]
+        candidate = g[:, 2 * h_size :] = np.tanh(pre_h)
         h_new = (1.0 - z) * h + z * candidate
-        m = mask[:, t : t + 1]
-        h = m * h_new + (1.0 - m) * h
-        out[:, t] = m * h_new
-        z_all[:, t] = z
-        r_all[:, t] = r
-        c_all[:, t] = candidate
-        states[:, step + 1] = h
-    return DirectionCache(z_all, r_all, c_all, states, order, out)
+        m = real[:, t : t + 1]
+        out[:, t] = np.where(m, h_new, 0.0)
+        h = np.where(m, h_new, h)
+    return DirectionCache(gates, h_prev, reverse)
 
 
 @dataclass
 class ForwardCache:
     batch: ChunkBatch
-    features: np.ndarray  # (B, T, D) raw feature rows
-    inputs: np.ndarray  # (B, T, D) after input dropout
-    char_traces: list[list[CharTrace | None]]
+    inputs: np.ndarray  # (B, T, D) feature rows after input dropout
+    char_traces: list[CharTrace]  # one per distinct char sequence in the batch
+    char_index: np.ndarray  # per real slot (row-major), its entry in char_traces
     fwd: DirectionCache
     bwd: DirectionCache
     concat: np.ndarray  # (B, T, 2H)
@@ -393,7 +419,13 @@ class ForwardCache:
 
 def _featurize_batch(
     model: ModelParameters, batch: ChunkBatch
-) -> tuple[np.ndarray, list[list[CharTrace | None]]]:
+) -> tuple[np.ndarray, list[CharTrace], np.ndarray]:
+    """Feature rows, plus the char-CNN traces and the slot index into them.
+
+    The char CNN runs once per distinct char-id sequence among the real
+    slots; each real slot (in row-major order) gathers its vector through
+    the returned index.
+    """
     d_w = model.word_table.dim
     d_p = model.pos_table.dim
     b, t_len = batch.word_ids.shape
@@ -401,39 +433,48 @@ def _featurize_batch(
     # PAD rows of the tables are all zero, so gathering pad slots yields zeros.
     rows[:, :, :d_w] = model.word_table.matrix[batch.word_ids]
     rows[:, :, d_w : d_w + d_p] = model.pos_table.matrix[batch.pos_ids]
-    traces: list[list[CharTrace | None]] = [[None] * t_len for _ in range(b)]
-    real = batch.mask > 0
-    for i in range(b):
-        for t in range(t_len):
-            if not real[i, t]:
-                continue
-            vec, trace = char_cnn_trace(batch.chars[i][t], model.char_params)
-            rows[i, t, d_w + d_p :] = vec
-            traces[i][t] = trace
-    return rows, traces
+    slot_i, slot_t = np.nonzero(batch.mask > 0)
+    seen: dict[bytes, int] = {}
+    traces: list[CharTrace] = []
+    vectors: list[np.ndarray] = []
+    index = np.empty(slot_i.size, dtype=np.intp)
+    for k, (i, t) in enumerate(zip(slot_i.tolist(), slot_t.tolist())):
+        chars = np.asarray(batch.chars[i][t], dtype=np.int64)
+        key = chars.tobytes()
+        j = seen.get(key)
+        if j is None:
+            j = seen[key] = len(traces)
+            vec, trace = char_cnn_trace(chars, model.char_params)
+            vectors.append(vec)
+            traces.append(trace)
+        index[k] = j
+    if traces:
+        rows[slot_i, slot_t, d_w + d_p :] = np.stack(vectors)[index]
+    return rows, traces, index
 
 
 def forward_batch(
     model: ModelParameters, batch: ChunkBatch, plan: DropoutPlan | None = None
 ) -> ForwardCache:
-    features, traces = _featurize_batch(model, batch)
+    features, traces, char_index = _featurize_batch(model, batch)
     inputs = features * plan.input_mask if plan is not None else features
+    h_size = model.dims.hidden
+    concat = np.empty((batch.size, inputs.shape[1], 2 * h_size))
     fwd = _direction_forward(
         inputs, batch.mask, model.gru_fwd,
-        plan.rec_fwd if plan is not None else None, reverse=False,
+        plan.rec_fwd if plan is not None else None, reverse=False, out=concat[..., :h_size],
     )
     bwd = _direction_forward(
         inputs, batch.mask, model.gru_bwd,
-        plan.rec_bwd if plan is not None else None, reverse=True,
+        plan.rec_bwd if plan is not None else None, reverse=True, out=concat[..., h_size:],
     )
-    concat = np.concatenate([fwd.out, bwd.out], axis=-1)
     probs = dense_softmax(concat, model.dense)
     losses = _chunk_losses(probs, batch.labels, batch.mask)
     return ForwardCache(
         batch=batch,
-        features=features,
         inputs=inputs,
         char_traces=traces,
+        char_index=char_index,
         fwd=fwd,
         bwd=bwd,
         concat=concat,
@@ -449,9 +490,11 @@ def bigru_forward(
     """Per-position concatenated forward/backward states; zero rows at pads."""
     x = features.rows[None, :, :]
     mask = features.mask[None, :].astype(np.float64)
-    fwd = _direction_forward(x, mask, p_fwd, None, reverse=False)
-    bwd = _direction_forward(x, mask, p_bwd, None, reverse=True)
-    return np.concatenate([fwd.out[0], bwd.out[0]], axis=-1)
+    h_size = p_fwd.hidden
+    out = np.empty((1, x.shape[1], 2 * h_size))
+    _direction_forward(x, mask, p_fwd, None, reverse=False, out=out[..., :h_size])
+    _direction_forward(x, mask, p_bwd, None, reverse=True, out=out[..., h_size:])
+    return out[0]
 
 
 def dense_softmax(h: np.ndarray, p: DenseParams) -> np.ndarray:
@@ -500,63 +543,90 @@ def _direction_backward(
     grads: dict[str, np.ndarray],
     prefix: str,
 ) -> np.ndarray:
-    """Backpropagate through one GRU direction; returns d(inputs)."""
-    b, t_len, _ = x.shape
+    """Backpropagate through one GRU direction; returns d(inputs).
+
+    The time loop only carries dh and stores each step's pre-activation
+    deltas z | r | h; the weight, bias and input gradients are then one GEMM
+    each over all positions.
+    """
+    b, t_len, d = x.shape
     h_size = p.hidden
-    dx = np.zeros_like(x)
-    g = {name: np.zeros_like(getattr(p, name)) for name in GruDirectionParams.GATE_NAMES}
+    w, u_zr, _ = _stacked(p)
+    real = mask > 0
+    da = np.zeros((b, t_len, 3 * h_size))  # pre-activation deltas by position
     dh = np.zeros((b, h_size))
-    for step in range(t_len - 1, -1, -1):
-        t = cache.order[step]
-        m = mask[:, t : t + 1]
-        h_prev = cache.states[:, step]
+    for t in reversed(_positions(t_len, cache.reverse)):
+        m = real[:, t : t + 1]
+        h_prev = cache.h_prev[:, t]
         hd = h_prev * rec_mask if rec_mask is not None else h_prev
-        z = cache.z[:, t]
-        r = cache.r[:, t]
-        candidate = cache.candidate[:, t]
-        xt = x[:, t]
+        g = cache.gates[:, t]
+        z = g[:, :h_size]
+        r = g[:, h_size : 2 * h_size]
+        candidate = g[:, 2 * h_size :]
+        da_t = da[:, t]
 
-        dh_new = m * (dh + d_out[:, t])
-        dh_prev = (1.0 - m) * dh
-        dz = dh_new * (candidate - h_prev)
-        dc = dh_new * z
-        dh_prev += dh_new * (1.0 - z)
-
-        da_h = dc * (1.0 - candidate * candidate)
-        rh = r * hd
-        g["w_h"] += da_h.T @ xt
-        g["b_h"] += da_h.sum(axis=0)
-        g["u_h"] += da_h.T @ rh
-        dx[:, t] += da_h @ p.w_h
+        dh_new = np.where(m, dh + d_out[:, t], 0.0)
+        da_t[:, :h_size] = dh_new * (candidate - h_prev) * z * (1.0 - z)
+        da_h = da_t[:, 2 * h_size :] = dh_new * z * (1.0 - candidate * candidate)
         drh = da_h @ p.u_h
-        dr = drh * hd
+        da_t[:, h_size : 2 * h_size] = drh * hd * r * (1.0 - r)
         dhd = drh * r
+        dhd += da_t[:, : 2 * h_size] @ u_zr
+        dh = np.where(m, dh_new * (1.0 - z), dh)
+        dh += dhd * rec_mask if rec_mask is not None else dhd
 
-        da_r = dr * r * (1.0 - r)
-        g["w_r"] += da_r.T @ xt
-        g["b_r"] += da_r.sum(axis=0)
-        g["u_r"] += da_r.T @ hd
-        dx[:, t] += da_r @ p.w_r
-        dhd += da_r @ p.u_r
+    da = da.reshape(b * t_len, 3 * h_size)
+    hd_all = cache.h_prev * rec_mask[:, None, :] if rec_mask is not None else cache.h_prev
+    rh_all = cache.gates[..., h_size : 2 * h_size] * hd_all
+    d_w = da.T @ x.reshape(b * t_len, d)
+    d_b = da.sum(axis=0)
+    d_u = np.concatenate([
+        da[:, : 2 * h_size].T @ hd_all.reshape(b * t_len, h_size),
+        da[:, 2 * h_size :].T @ rh_all.reshape(b * t_len, h_size),
+    ])
+    stacked = {"w": d_w, "u": d_u, "b": d_b}
+    for name in GruDirectionParams.GATE_NAMES:
+        kind, gate = name.split("_")
+        k = "zrh".index(gate)
+        grads[f"{prefix}.{name}"] = stacked[kind][k * h_size : (k + 1) * h_size]
+    return (da @ w).reshape(b, t_len, d)
 
-        da_z = dz * z * (1.0 - z)
-        g["w_z"] += da_z.T @ xt
-        g["b_z"] += da_z.sum(axis=0)
-        g["u_z"] += da_z.T @ hd
-        dx[:, t] += da_z @ p.w_z
-        dhd += da_z @ p.u_z
 
-        dh_prev += dhd * rec_mask if rec_mask is not None else dhd
-        dh = dh_prev
-    for name, arr in g.items():
-        grads[f"{prefix}.{name}"] = arr
-    return dx
+def _char_cnn_backward(
+    char: CharCnnParams, traces: list[CharTrace], d_vecs: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Char-table, filter and bias gradients given d(output) per trace (U, F*W).
+
+    The windows of all traces are stacked per kernel width, so each filter
+    bank takes one GEMM per gradient and one scatter into the char table.
+    """
+    n_f = char.n_filters
+    g_table = np.zeros_like(char.char_table)
+    g_filters = [np.zeros_like(f) for f in char.filters]
+    g_biases = [np.zeros_like(bb) for bb in char.biases]
+    if not traces:
+        return g_table, g_filters, g_biases
+    for wi, (width, filters) in enumerate(zip(char.widths, char.filters)):
+        win = np.concatenate([tr.window_ids[wi] for tr in traces])  # (P, k)
+        pre = np.concatenate([tr.pre[wi] for tr in traces])  # (P, F)
+        first_row = np.cumsum([0] + [tr.pre[wi].shape[0] for tr in traces[:-1]])
+        best = np.stack([tr.best[wi] for tr in traces]) + first_row[:, None]  # (U, F)
+        d_scores = np.zeros_like(pre)
+        d_scores[best, np.arange(n_f)] = d_vecs[:, wi * n_f : (wi + 1) * n_f]
+        d_pre = d_scores * (pre > 0)
+        g_biases[wi] += d_pre.sum(axis=0)
+        emb = char.char_table[win].reshape(win.shape[0], -1)
+        g_filters[wi] += (d_pre.T @ emb).reshape(n_f, width, char.char_dim)
+        d_emb = (d_pre @ filters.reshape(n_f, -1)).reshape(win.shape[0], width, char.char_dim)
+        np.add.at(g_table, win, d_emb)
+    g_table[0] = 0.0
+    return g_table, g_filters, g_biases
 
 
 def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str, np.ndarray]:
     """Gradients of the batch objective (mean over chunks of summed loss)."""
     batch = cache.batch
-    b, t_len = batch.mask.shape
+    b = batch.size
     h_size = model.dims.hidden
     active = (batch.mask * (batch.labels >= 0))[..., None]
     onehot = np.zeros_like(cache.probs)
@@ -565,7 +635,7 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
     dlogits = (cache.probs - onehot) * active / b
 
     grads: dict[str, np.ndarray] = {}
-    grads["dense.w"] = np.einsum("btk,bth->kh", dlogits, cache.concat)
+    grads["dense.w"] = dlogits.reshape(-1, 3).T @ cache.concat.reshape(-1, 2 * h_size)
     grads["dense.b"] = dlogits.sum(axis=(0, 1))
     d_concat = dlogits @ model.dense.w
 
@@ -593,32 +663,12 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
     g_pos[0] = 0.0
     grads["pos_table"] = g_pos
 
+    # The char CNN's backward is linear in d(output), so slots that share a
+    # char sequence (and so a trace) can sum their gradients first.
     char = model.char_params
-    g_char_table = np.zeros_like(char.char_table)
-    g_filters = [np.zeros_like(f) for f in char.filters]
-    g_biases = [np.zeros_like(bb) for bb in char.biases]
-    n_f = char.n_filters
-    for i in range(b):
-        for t in range(t_len):
-            trace = cache.char_traces[i][t]
-            if trace is None:
-                continue
-            d_vec = dx[i, t, d_w + d_p :]
-            for wi, width in enumerate(char.widths):
-                d_block = d_vec[wi * n_f : (wi + 1) * n_f]
-                pre = trace.pre[wi]
-                d_scores = np.zeros_like(pre)
-                d_scores[trace.best[wi], np.arange(n_f)] = d_block
-                d_pre = d_scores * (pre > 0)
-                g_biases[wi] += d_pre.sum(axis=0)
-                win = trace.window_ids[wi]
-                emb = char.char_table[win].reshape(win.shape[0], -1)
-                g_filters[wi] += (d_pre.T @ emb).reshape(n_f, width, char.char_dim)
-                d_emb = (d_pre @ char.filters[wi].reshape(n_f, -1)).reshape(
-                    win.shape[0], width, char.char_dim
-                )
-                np.add.at(g_char_table, win, d_emb)
-    g_char_table[0] = 0.0
+    d_chars = np.zeros((len(cache.char_traces), char.output_dim))
+    np.add.at(d_chars, cache.char_index, dx[..., d_w + d_p :][real])
+    g_char_table, g_filters, g_biases = _char_cnn_backward(char, cache.char_traces, d_chars)
     grads["char_table"] = g_char_table
     for width, gf, gb in zip(char.widths, g_filters, g_biases):
         grads[f"char_filters_w{width}"] = gf

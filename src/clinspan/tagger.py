@@ -182,6 +182,43 @@ def _argmax_tags(probs: np.ndarray, mask: np.ndarray) -> list[list[str]]:
     return out
 
 
+def _chunk_sentences(
+    sentences: Sequence[AnnotatedSentence], vocab: Vocabulary, config: ChunkConfig
+) -> tuple[list[PaddedChunk], list[int]]:
+    """All chunks of the sentences in order, and the sentence index of each."""
+    chunks: list[PaddedChunk] = []
+    owners: list[int] = []
+    for i, sentence in enumerate(sentences):
+        pieces = chunk_sentence(sentence, vocab, config)
+        chunks.extend(pieces)
+        owners.extend([i] * len(pieces))
+    return chunks, owners
+
+
+def _evaluate_chunks(
+    model: ModelParameters, chunks: Sequence[PaddedChunk], batch_size: int = EVAL_BATCH
+) -> tuple[float, list[list[str]]]:
+    """One dropout-free forward over the chunks: summed loss and per-chunk tags."""
+    total = 0.0
+    chunk_tags: list[list[str]] = []
+    for lo in range(0, len(chunks), batch_size):
+        batch = batch_chunks(chunks[lo : lo + batch_size])
+        cache = forward_batch(model, batch)
+        total += float(cache.chunk_losses.sum())
+        chunk_tags.extend(_argmax_tags(cache.probs, batch.mask))
+        del cache  # the next batch's forward should not run while this one is alive
+    return total, chunk_tags
+
+
+def _merge_by_sentence(
+    chunks: Sequence[PaddedChunk], chunk_tags: list[list[str]], owners: list[int], n: int
+) -> list[list[str]]:
+    per_sentence: list[list[tuple[PaddedChunk, list[str]]]] = [[] for _ in range(n)]
+    for chunk, tags, owner in zip(chunks, chunk_tags, owners):
+        per_sentence[owner].append((chunk, tags))
+    return [merge_chunk_predictions(pairs) for pairs in per_sentence]
+
+
 def predict_corpus_labels(
     model: ModelParameters,
     vocab: Vocabulary,
@@ -190,23 +227,9 @@ def predict_corpus_labels(
     batch_size: int = EVAL_BATCH,
 ) -> list[list[str]]:
     """Dropout-free predicted tag sequences, one per sentence."""
-    all_chunks: list[PaddedChunk] = []
-    owners: list[int] = []
-    for i, sentence in enumerate(sentences):
-        chunks = chunk_sentence(sentence, vocab, config)
-        all_chunks.extend(chunks)
-        owners.extend([i] * len(chunks))
-
-    chunk_tags: list[list[str]] = []
-    for lo in range(0, len(all_chunks), batch_size):
-        batch = batch_chunks(all_chunks[lo : lo + batch_size])
-        cache = forward_batch(model, batch)
-        chunk_tags.extend(_argmax_tags(cache.probs, batch.mask))
-
-    per_sentence: list[list[tuple[PaddedChunk, list[str]]]] = [[] for _ in sentences]
-    for chunk, tags, owner in zip(all_chunks, chunk_tags, owners):
-        per_sentence[owner].append((chunk, tags))
-    return [merge_chunk_predictions(pairs) for pairs in per_sentence]
+    chunks, owners = _chunk_sentences(sentences, vocab, config)
+    _, chunk_tags = _evaluate_chunks(model, chunks, batch_size)
+    return _merge_by_sentence(chunks, chunk_tags, owners, len(sentences))
 
 
 def annotate_sentence(
@@ -221,29 +244,6 @@ def annotate_sentence(
         ConceptSpan(s.start, s.end, doc_id=sentence.doc_id, sent_index=sentence.sent_index)
         for s in decode_iob(tags)
     ]
-
-
-def _corpus_loss(model: ModelParameters, chunks: list[PaddedChunk]) -> float:
-    """Summed dropout-free cross-entropy over a chunk list."""
-    total = 0.0
-    for lo in range(0, len(chunks), EVAL_BATCH):
-        batch = batch_chunks(chunks[lo : lo + EVAL_BATCH])
-        total += float(forward_batch(model, batch).chunk_losses.sum())
-    return total
-
-
-def _span_f1(
-    model: ModelParameters,
-    vocab: Vocabulary,
-    sentences: Sequence[AnnotatedSentence],
-    config: ChunkConfig,
-) -> float:
-    predicted = predict_corpus_labels(model, vocab, sentences, config)
-    gold = [[(s.start, s.end) for s in gold_spans(sent)] for sent in sentences]
-    pred = [[(s.start, s.end) for s in decode_iob(tags)] for tags in predicted]
-    counts = metrics.span_match_counts(gold, pred)
-    _, _, f1 = metrics.prf(counts)
-    return f1
 
 
 def train(
@@ -298,12 +298,9 @@ def train(
     )
     model = init_parameters(dims, vocab, word_table, rng)
 
-    train_chunks = [
-        c for s in train_sents for c in chunk_sentence(s, vocab, chunk_config)
-    ]
-    valid_chunks = [
-        c for s in valid_sents for c in chunk_sentence(s, vocab, chunk_config)
-    ]
+    train_chunks, _ = _chunk_sentences(train_sents, vocab, chunk_config)
+    valid_chunks, valid_owners = _chunk_sentences(valid_sents, vocab, chunk_config)
+    valid_gold = [[(s.start, s.end) for s in gold_spans(sent)] for sent in valid_sents]
     if all((c.labels < 0).all() or (c.labels[c.mask] == 2).all() for c in train_chunks):
         warnings.warn("training data contains no concept spans", stacklevel=2)
 
@@ -329,10 +326,12 @@ def train(
             clip_gradients(grads, config.clip_norm)
             adam_step(model, grads, state, config.lr)
 
-        train_loss = _corpus_loss(model, train_chunks)
+        train_loss, _ = _evaluate_chunks(model, train_chunks)
         if valid_sents:
-            valid_loss = _corpus_loss(model, valid_chunks)
-            valid_f1 = _span_f1(model, vocab, valid_sents, chunk_config)
+            valid_loss, chunk_tags = _evaluate_chunks(model, valid_chunks)
+            predicted = _merge_by_sentence(valid_chunks, chunk_tags, valid_owners, len(valid_sents))
+            pred = [[(s.start, s.end) for s in decode_iob(tags)] for tags in predicted]
+            _, _, valid_f1 = metrics.prf(metrics.span_match_counts(valid_gold, pred))
         else:
             valid_loss, valid_f1 = train_loss, float("nan")
         history.epochs.append(EpochStats(epoch, train_loss, valid_loss, valid_f1))

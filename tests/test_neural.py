@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clinspan import neural
 from clinspan.chunking import PaddedChunk
 from clinspan.features import FeatureMatrix
 from clinspan.neural import (
@@ -31,6 +36,7 @@ from clinspan.neural import (
     softmax,
     trainable_tensor_names,
 )
+from clinspan.neural import _sigmoid
 
 
 def _gru_params(h, d, fill=0.0):
@@ -454,3 +460,127 @@ class TestForwardDeterminism:
         second = forward_batch(model, batch)
         np.testing.assert_array_equal(first.probs, second.probs)
         np.testing.assert_array_equal(first.chunk_losses, second.chunk_losses)
+
+
+class TestSigmoid:
+    def test_exact_saturation_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _sigmoid(np.array([-1000.0, 1000.0]))
+        assert out[0] == 0.0
+        assert out[1] == 1.0
+
+    def test_matches_logistic_on_grid(self):
+        x = np.linspace(-30.0, 30.0, 6001)
+        np.testing.assert_allclose(_sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=0, atol=1e-15)
+
+
+def _chunk(chars, labels, window=7, seed=0):
+    """A chunk with the given char sequences on its real prefix."""
+    rng = np.random.default_rng(seed)
+    real = len(chars)
+    mask = np.arange(window) < real
+    empty = np.zeros(0, dtype=np.int64)
+    return PaddedChunk(
+        word_ids=np.where(mask, rng.integers(1, 8, size=window), 0),
+        pos_ids=np.where(mask, rng.integers(1, 5, size=window), 0),
+        char_ids=tuple(np.asarray(c, dtype=np.int64) for c in chars) + (empty,) * (window - real),
+        mask=mask,
+        sentence_offset=0,
+        chunk_ordinal=0,
+        labels=np.where(mask, np.resize(np.asarray(labels, dtype=np.int64), window), -1),
+    )
+
+
+def _probe_model(seed=0):
+    model, _ = build_probe(seed=seed, char_widths=(2, 3), trainable_words=True)
+    return model
+
+
+# Probe char ids 2..7 are letters; 0 is PAD, 1 is UNK; -2 and 9 are out of range.
+MIXED_CHUNKS = [
+    _chunk([[2, 3], [2, 3], [4, 5, 6], [2, 3], [2, 3, 4]], [0, 1, 2], seed=1),  # repeats
+    _chunk([[2], [3, 4], [5, 6, 7], [7, 6], [4, 4, 4, 4]], [2, 0, 1], seed=2),  # all distinct
+    _chunk([[2, 3, 0], [2, 3], [2, 3, 0, 0]], [0, 2], seed=3),  # differ by trailing PAD
+    _chunk([[-2, 3], [9], [3, 9, 2], [1, 3]], [1, 1, 2], seed=4),  # out of range
+    _chunk([[2, 3]] * 7, [0, 1, 1, 2], seed=5),  # full window
+]
+
+
+def _assert_batch_invariant(model, chunks):
+    mixed = forward_batch(model, batch_chunks(chunks))
+    for i, chunk in enumerate(chunks):
+        single = forward_batch(model, batch_chunks([chunk]))
+        np.testing.assert_allclose(mixed.probs[i], single.probs[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            mixed.chunk_losses[i], single.chunk_losses[0], rtol=0, atol=1e-12
+        )
+
+
+char_seqs = st.lists(st.integers(min_value=-3, max_value=11), min_size=1, max_size=6)
+
+
+@st.composite
+def chunk_lists(draw):
+    pool = draw(st.lists(char_seqs, min_size=1, max_size=3))
+    chunks = []
+    for seed in range(draw(st.integers(min_value=1, max_value=5))):
+        chars = []
+        for _ in range(draw(st.integers(min_value=1, max_value=7))):
+            kind = draw(st.sampled_from(["repeat", "fresh", "trailing_pad"]))
+            seq = draw(char_seqs) if kind == "fresh" else list(draw(st.sampled_from(pool)))
+            if kind == "trailing_pad":
+                seq += [0] * draw(st.integers(min_value=1, max_value=3))
+            chars.append(seq)
+        labels = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=7))
+        chunks.append(_chunk(chars, labels, seed=seed))
+    return chunks
+
+
+class TestBatchInvariance:
+    def test_mixed_batch_equals_per_chunk(self):
+        _assert_batch_invariant(_probe_model(), MIXED_CHUNKS)
+
+    @given(chunk_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, chunks):
+        _assert_batch_invariant(_probe_model(), chunks)
+
+    def test_char_cnn_runs_once_per_distinct_sequence(self, monkeypatch):
+        calls = []
+        original = neural.char_cnn_trace
+
+        def counting(chars, params):
+            calls.append(chars.tobytes())
+            return original(chars, params)
+
+        monkeypatch.setattr(neural, "char_cnn_trace", counting)
+        batch = batch_chunks(MIXED_CHUNKS)
+        forward_batch(_probe_model(), batch)
+        real = batch.mask > 0
+        distinct = {
+            chars[t].tobytes() for chars, row in zip(batch.chars, real) for t in np.flatnonzero(row)
+        }
+        assert len(calls) == len(set(calls)) == len(distinct)
+
+
+class TestCharDedupGradients:
+    def test_batch_gradient_is_mean_of_chunk_gradients(self):
+        model = _probe_model(seed=8)
+        cache = forward_batch(model, batch_chunks(MIXED_CHUNKS))
+        assert len(cache.char_traces) < int(cache.batch.mask.sum())
+        batched = backward_from_cache(model, cache)
+        per_chunk = [backward(model, chunk) for chunk in MIXED_CHUNKS]
+        assert set(batched) == set(per_chunk[0])
+        for name, grad in batched.items():
+            mean = sum(g[name] for g in per_chunk) / len(per_chunk)
+            np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_gradcheck_with_shared_char_sequence(self):
+        model, chunk = build_probe(seed=0)
+        shared = (chunk.char_ids[0],) * 2 + tuple(chunk.char_ids[2:])
+        chunk = dataclasses.replace(chunk, char_ids=shared)
+        cache = forward_batch(model, batch_chunks([chunk]))
+        assert len(cache.char_traces) < chunk.real_count
+        report = finite_difference_check(model, chunk)
+        assert report.ok, report.format()

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clinspan.chunking import ChunkConfig
-from clinspan.corpus import build_vocab, count_spans
+from clinspan import tagger
+from clinspan.chunking import ChunkConfig, chunk_sentence
+from clinspan.corpus import build_vocab, count_spans, stratified_split
 from clinspan.features import EmbeddingTable
-from clinspan.neural import build_probe, named_tensors
+from clinspan.metrics import prf, span_match_counts
+from clinspan.neural import batch_chunks, build_probe, forward_batch, named_tensors
 from clinspan.tagger import (
     ArchiveChecksumError,
     ArchiveError,
     ArchiveVersionError,
+    EVAL_BATCH,
     ConceptSpan,
     TrainConfig,
     annotate_sentence,
@@ -20,6 +23,7 @@ from clinspan.tagger import (
     format_history,
     gold_spans,
     load_model,
+    predict_corpus_labels,
     save_model,
     spans_to_iob,
     train,
@@ -264,6 +268,52 @@ class TestTrain:
         np.testing.assert_array_equal(model.pos_table.matrix[0], 0)
         np.testing.assert_array_equal(model.char_params.char_table[0], 0)
         np.testing.assert_array_equal(model.word_table.matrix[0], 0)
+
+    def test_one_evaluation_forward_per_chunk_per_epoch(self, monkeypatch):
+        corpus, vocab, emb = _training_setup(n_sentences=10, sentence_len=12)
+        config = _small_config(epochs=3)
+        split = stratified_split(corpus, config.valid_fraction, config.seed)
+        n_chunks = {
+            part: sum(len(chunk_sentence(s, vocab, config.chunk_config)) for s in sents)
+            for part, sents in (("train", split.train.sentences), ("valid", split.valid.sentences))
+        }
+        assert n_chunks["train"] > len(split.train.sentences)  # multi-chunk sentences
+        eval_chunks = []
+        chunked = []
+        original_forward = tagger.forward_batch
+
+        def counting_forward(model, batch, plan=None):
+            if plan is None:
+                eval_chunks.append(batch.size)
+            return original_forward(model, batch, plan)
+
+        def counting_chunk(sentence, vocab, config):
+            chunked.append(sentence)
+            return chunk_sentence(sentence, vocab, config)
+
+        monkeypatch.setattr(tagger, "forward_batch", counting_forward)
+        monkeypatch.setattr(tagger, "chunk_sentence", counting_chunk)
+        train(corpus, emb, config, vocab=vocab)
+        assert sum(eval_chunks) == config.epochs * (n_chunks["train"] + n_chunks["valid"])
+        assert len(chunked) == len(corpus.sentences)
+
+    def test_history_matches_separate_evaluation(self):
+        corpus, vocab, emb = _training_setup(n_sentences=10, sentence_len=12)
+        config = _small_config(epochs=3)
+        model, history = train(corpus, emb, config, vocab=vocab)
+        valid = stratified_split(corpus, config.valid_fraction, config.seed).valid.sentences
+        chunks = [c for s in valid for c in chunk_sentence(s, vocab, config.chunk_config)]
+        loss = sum(
+            float(forward_batch(model, batch_chunks(chunks[lo : lo + EVAL_BATCH])).chunk_losses.sum())
+            for lo in range(0, len(chunks), EVAL_BATCH)
+        )
+        predicted = predict_corpus_labels(model, vocab, valid, config.chunk_config)
+        gold = [[(s.start, s.end) for s in gold_spans(x)] for x in valid]
+        pred = [[(s.start, s.end) for s in decode_iob(tags)] for tags in predicted]
+        _, _, f1 = prf(span_match_counts(gold, pred))
+        best = history.epochs[history.best_epoch - 1]
+        assert best.valid_loss == loss
+        assert best.valid_f1 == f1
 
     def test_best_epoch_minimizes_validation_loss(self):
         corpus, vocab, emb = _training_setup()
