@@ -33,11 +33,9 @@ from .neural import (
     adam_step,
     apply_dropout,
     backward,
-    bigru_forward,
     clip_gradients,
     dense_softmax,
     finite_difference_check,
-    gru_cell_forward,
     masked_cross_entropy,
 )
 from .tagger import (

@@ -202,9 +202,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_model(model, vocab, run.model)
     history_path = run.history or run.model + ".history"
     Path(history_path).write_text(format_history(history), encoding="utf-8")
-    if history.epochs:
-        print(f"best epoch: {history.best_epoch} "
-              f"(valid loss {history.epochs[history.best_epoch - 1].valid_loss:.6g})")
+    if history.best_epoch:
+        best = history.epochs[history.best_epoch - 1]
+        print(f"best epoch: {history.best_epoch} (valid loss {best.valid_loss:.6g})")
     else:
         print("best epoch: none (no training epochs)")
     print(f"model written to {run.model}")

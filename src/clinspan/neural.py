@@ -20,14 +20,27 @@ Compute layout.  Within a batch the char CNN runs once per distinct char-id
 sequence among the real slots, and each slot gathers its vector through an
 index; backward sums the slots' gradients per sequence before going through
 that sequence's trace once, which is exact because the char CNN's backward
-is linear in its output gradient.  GRU parameters are stored per gate (the
-archive layout) and stacked where they are used: each direction does one
-(B*T, D) x (D, 3H) input projection before its time loop, then one
-h U_zr^T GEMM for both sigmoid gates and one (r * h) U_h^T GEMM per step.
-The backward loop carries only dh and keeps every step's z | r | h
-pre-activation deltas, so the weight, bias and input gradients are one GEMM
-each after the loop (the fused-gate layout of Appleyard, Kocisky & Blunsom
-2016, arXiv:1604.01946).
+is linear in its output gradient.  Only real slots are featurized: the real
+slots of a chunk must be a prefix of its window, and feature rows hold them
+in row-major order.
+
+The GRU weights are stored once, in the layout the loop computes with:
+W (2, 3H, D), U (2, 3H, H) and b (2, 3H), direction first (forward,
+backward), gate blocks z | r | h.  The per-gate tensors (``gru_fwd.w_z``
+... ``gru_bwd.b_h``, the archive layout) are views into these arrays.  Both
+directions run in one packed time loop: the chunks are sorted by real
+length, longest first, so the chunks still running at step k are a prefix
+of that order, and step k reads position k for the forward direction and
+position L - 1 - k for the backward one.  Both directions therefore have
+the same running rows at every step, the loop runs max(L) steps, and no pad
+slot is computed.  One stacked (2, R, D) x (2, D, 3H) GEMM projects the R
+real slots for both directions before the loop; each step then does one
+stacked (2, n, H) GEMM for z | r, one for the candidate, and one set of
+elementwise ops for both directions, reading the previous state from the
+prior step's packed rows.  The backward loop carries only dh and keeps every packed row's
+z | r | h pre-activation deltas, so the weight, bias and input gradients
+are one GEMM each after the loop (the fused-gate layout of Appleyard,
+Kocisky & Blunsom 2016, arXiv:1604.01946).
 
 Phase separation contract: forward/backward over distinct chunks may run
 concurrently against a frozen parameter snapshot; the optimizer step is the
@@ -36,7 +49,7 @@ single writer and must not interleave with reads.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +60,6 @@ from .features import (
     CharCnnParams,
     CharTrace,
     EmbeddingTable,
-    FeatureMatrix,
     PosEmbedding,
     char_cnn_trace,
 )
@@ -73,10 +85,6 @@ class GruDirectionParams:
     b_z: np.ndarray  # (H,)
     b_r: np.ndarray
     b_h: np.ndarray
-
-    @property
-    def hidden(self) -> int:
-        return self.w_z.shape[0]
 
     GATE_NAMES = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
 
@@ -109,6 +117,15 @@ class ModelDims:
 
 @dataclass
 class ModelParameters:
+    """Every tensor of the tagger.
+
+    The GRU weights live in ``gru_w`` (2, 3H, D), ``gru_u`` (2, 3H, H) and
+    ``gru_b`` (2, 3H): direction first, gate blocks z | r | h.  They are
+    stacked from ``gru_fwd`` and ``gru_bwd`` at construction, after which
+    those two are rebound to per-gate views into the stacked arrays, so a
+    write through either name reaches the one copy the forward reads.
+    """
+
     word_table: EmbeddingTable
     pos_table: PosEmbedding
     char_params: CharCnnParams
@@ -116,8 +133,22 @@ class ModelParameters:
     gru_bwd: GruDirectionParams
     dense: DenseParams
     dims: ModelDims
+    gru_w: np.ndarray = field(init=False, repr=False, compare=False)
+    gru_u: np.ndarray = field(init=False, repr=False, compare=False)
+    gru_b: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.gru_w, self.gru_u, self.gru_b = (
+            np.stack([
+                np.concatenate([getattr(p, f"{kind}_{gate}") for gate in "zrh"])
+                for p in (self.gru_fwd, self.gru_bwd)
+            ]).astype(np.float64, copy=False)
+            for kind in "wub"
+        )
+        self.gru_fwd, self.gru_bwd = _gate_views(self.gru_w, self.gru_u, self.gru_b)
 
     def clone(self) -> "ModelParameters":
+        # The GRU tensors are copied by __post_init__'s stacking.
         return ModelParameters(
             word_table=EmbeddingTable(
                 self.word_table.matrix.copy(), self.word_table.trainable
@@ -129,17 +160,23 @@ class ModelParameters:
                 filters=[f.copy() for f in self.char_params.filters],
                 biases=[b.copy() for b in self.char_params.biases],
             ),
-            gru_fwd=_clone_gru(self.gru_fwd),
-            gru_bwd=_clone_gru(self.gru_bwd),
+            gru_fwd=self.gru_fwd,
+            gru_bwd=self.gru_bwd,
             dense=DenseParams(self.dense.w.copy(), self.dense.b.copy()),
             dims=self.dims,
         )
 
 
-def _clone_gru(p: GruDirectionParams) -> GruDirectionParams:
-    return GruDirectionParams(
-        *(getattr(p, name).copy() for name in GruDirectionParams.GATE_NAMES)
+def _gate_views(
+    w: np.ndarray, u: np.ndarray, b: np.ndarray
+) -> tuple[GruDirectionParams, GruDirectionParams]:
+    """Per-gate views into stacked (2, 3H, ...) GRU tensors, one set per direction."""
+    h = b.shape[1] // 3
+    fwd, bwd = (
+        GruDirectionParams(*(t[k, g * h : (g + 1) * h] for t in (w, u, b) for g in range(3)))
+        for k in range(2)
     )
+    return fwd, bwd
 
 
 def named_tensors(model: ModelParameters) -> list[tuple[str, np.ndarray]]:
@@ -330,84 +367,95 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def gru_cell_forward(
-    x: np.ndarray, h_prev: np.ndarray, p: GruDirectionParams
-) -> np.ndarray:
-    """One GRU step over a vector (D,) or batch of row vectors (..., D)."""
-    z = _sigmoid(x @ p.w_z.T + h_prev @ p.u_z.T + p.b_z)
-    r = _sigmoid(x @ p.w_r.T + h_prev @ p.u_r.T + p.b_r)
-    candidate = np.tanh(x @ p.w_h.T + (r * h_prev) @ p.u_h.T + p.b_h)
-    return (1.0 - z) * h_prev + z * candidate
-
-
 @dataclass
-class DirectionCache:
-    gates: np.ndarray  # (B, T, 3H) by position: z | r | candidate
-    h_prev: np.ndarray  # (B, T, H) by position: state entering the step
-    reverse: bool
+class Packing:
+    """Where each real slot of a batch sits in the packed bidirectional loop.
+
+    Feature rows hold the real slots in row-major order (``slot_i``,
+    ``slot_t``).  Chunks run longest first (``order``), so the chunks still
+    running at step k are a prefix of that order: step k owns the packed rows
+    ``offsets[k]:offsets[k + 1]``, and its row j belongs to chunk
+    ``order[j]``.  ``rows[0]`` and ``rows[1]`` give the feature row each
+    packed row reads in the forward direction (position k) and in the
+    backward one (position L - 1 - k).
+    """
+
+    slot_i: np.ndarray  # (R,)
+    slot_t: np.ndarray  # (R,)
+    order: np.ndarray  # (B,)
+    offsets: np.ndarray  # (steps + 1,)
+    rows: np.ndarray  # (2, R)
 
 
-def _stacked(p: GruDirectionParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gate tensors stacked for compute: W (3H, D), U_zr (2H, H), b (3H,)."""
-    return (
-        np.concatenate([p.w_z, p.w_r, p.w_h]),
-        np.concatenate([p.u_z, p.u_r]),
-        np.concatenate([p.b_z, p.b_r, p.b_h]),
-    )
-
-
-def _positions(t_len: int, reverse: bool) -> range:
-    return range(t_len - 1, -1, -1) if reverse else range(t_len)
-
-
-def _direction_forward(
-    x: np.ndarray,
-    mask: np.ndarray,
-    p: GruDirectionParams,
-    rec_mask: np.ndarray | None,
-    reverse: bool,
-    out: np.ndarray,
-) -> DirectionCache:
-    """Run one direction, writing its states into ``out`` (B, T, H), zero at pads."""
-    b, t_len, d = x.shape
-    h_size = p.hidden
-    w, u_zr, bias = _stacked(p)
-    # Input projections of every position in one GEMM; each step then
-    # overwrites its slice with the gate activations z | r | candidate.
-    gates = x.reshape(b * t_len, d) @ w.T
-    gates += bias
-    gates = gates.reshape(b, t_len, 3 * h_size)
-    h_prev = np.empty((b, t_len, h_size))
+def _pack(mask: np.ndarray) -> Packing:
     real = mask > 0
-    h = np.zeros((b, h_size))
-    for t in _positions(t_len, reverse):
-        h_prev[:, t] = h
-        hd = h * rec_mask if rec_mask is not None else h
-        g = gates[:, t]
-        pre_zr = hd @ u_zr.T
-        pre_zr += g[:, : 2 * h_size]
-        g[:, : 2 * h_size] = _sigmoid(pre_zr)
-        z = g[:, :h_size]
-        r = g[:, h_size : 2 * h_size]
-        pre_h = (r * hd) @ p.u_h.T
-        pre_h += g[:, 2 * h_size :]
-        candidate = g[:, 2 * h_size :] = np.tanh(pre_h)
-        h_new = (1.0 - z) * h + z * candidate
-        m = real[:, t : t + 1]
-        out[:, t] = np.where(m, h_new, 0.0)
-        h = np.where(m, h_new, h)
-    return DirectionCache(gates, h_prev, reverse)
+    lengths = real.sum(axis=1)
+    if not (real == (np.arange(real.shape[1]) < lengths[:, None])).all():
+        raise ValueError("the real slots of every chunk must be a prefix of its window")
+    order = np.argsort(-lengths, kind="stable")
+    running = (lengths[order] > np.arange(lengths.max(initial=0))[:, None]).sum(axis=1)
+    offsets = np.concatenate([[0], np.cumsum(running)])
+    step = np.repeat(np.arange(running.size), running)
+    chunk = order[np.arange(step.size) - offsets[step]]
+    first = (np.cumsum(lengths) - lengths)[chunk]  # feature row of the chunk's position 0
+    slot_i, slot_t = np.nonzero(real)
+    rows = np.stack([first + step, first + lengths[chunk] - 1 - step])
+    return Packing(slot_i, slot_t, order, offsets, rows)
+
+
+def _recurrent_masks(plan: DropoutPlan | None, order: np.ndarray, h: int) -> np.ndarray | None:
+    """The plan's per-chunk recurrent masks as (2, B, H), in packed chunk order."""
+    if plan is None or (plan.rec_fwd is None and plan.rec_bwd is None):
+        return None
+    return np.stack([
+        np.ones((order.size, h)) if m is None else m[order] for m in (plan.rec_fwd, plan.rec_bwd)
+    ])
+
+
+def _bigru_forward(
+    model: ModelParameters, x: np.ndarray, pack: Packing, rec: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both GRU directions over the packed real slots of a batch.
+
+    Returns the gate activations z | r | candidate (2, R, 3H) and the states
+    (2, R, H), both by packed row.
+    """
+    h = model.dims.hidden
+    gates = x[pack.rows] @ model.gru_w.transpose(0, 2, 1)
+    gates += model.gru_b[:, None]
+    u_zr = model.gru_u[:, : 2 * h].transpose(0, 2, 1)
+    u_h = model.gru_u[:, 2 * h :].transpose(0, 2, 1)
+    states = np.empty((2, x.shape[0], h))
+    offsets = pack.offsets.tolist()
+    h_prev = np.zeros((2, offsets[1] if len(offsets) > 1 else 0, h))
+    for lo, hi in zip(offsets, offsets[1:]):
+        n = hi - lo
+        hp = h_prev[:, :n]
+        hd = hp * rec[:, :n] if rec is not None else hp
+        g = gates[:, lo:hi]
+        pre_zr = hd @ u_zr
+        pre_zr += g[..., : 2 * h]
+        g[..., : 2 * h] = _sigmoid(pre_zr)
+        z = g[..., :h]
+        r = g[..., h : 2 * h]
+        pre_h = (r * hd) @ u_h
+        pre_h += g[..., 2 * h :]
+        candidate = g[..., 2 * h :] = np.tanh(pre_h)
+        h_prev = states[:, lo:hi] = (1.0 - z) * hp + z * candidate
+    return gates, states
 
 
 @dataclass
 class ForwardCache:
     batch: ChunkBatch
-    inputs: np.ndarray  # (B, T, D) feature rows after input dropout
+    pack: Packing
+    inputs: np.ndarray  # (R, D) feature rows after input dropout
     char_traces: list[CharTrace]  # one per distinct char sequence in the batch
-    char_index: np.ndarray  # per real slot (row-major), its entry in char_traces
-    fwd: DirectionCache
-    bwd: DirectionCache
-    concat: np.ndarray  # (B, T, 2H)
+    char_index: np.ndarray  # per feature row, its entry in char_traces
+    gates: np.ndarray  # (2, R, 3H) by packed row: z | r | candidate
+    states: np.ndarray  # (2, R, H) by packed row
+    rec: np.ndarray | None  # (2, B, H) recurrent masks in packed chunk order
+    concat: np.ndarray  # (B, T, 2H), zero at pads
     probs: np.ndarray  # (B, T, 3)
     chunk_losses: np.ndarray  # (B,)
     plan: DropoutPlan | None
@@ -418,27 +466,24 @@ class ForwardCache:
 
 
 def _featurize_batch(
-    model: ModelParameters, batch: ChunkBatch
+    model: ModelParameters, batch: ChunkBatch, pack: Packing
 ) -> tuple[np.ndarray, list[CharTrace], np.ndarray]:
-    """Feature rows, plus the char-CNN traces and the slot index into them.
+    """Feature rows of the real slots, plus the char-CNN traces and the row
+    index into them.
 
     The char CNN runs once per distinct char-id sequence among the real
-    slots; each real slot (in row-major order) gathers its vector through
-    the returned index.
+    slots; each feature row gathers its vector through the returned index.
     """
     d_w = model.word_table.dim
     d_p = model.pos_table.dim
-    b, t_len = batch.word_ids.shape
-    rows = np.zeros((b, t_len, model.dims.feature_dim))
-    # PAD rows of the tables are all zero, so gathering pad slots yields zeros.
-    rows[:, :, :d_w] = model.word_table.matrix[batch.word_ids]
-    rows[:, :, d_w : d_w + d_p] = model.pos_table.matrix[batch.pos_ids]
-    slot_i, slot_t = np.nonzero(batch.mask > 0)
+    rows = np.empty((pack.slot_i.size, model.dims.feature_dim))
+    rows[:, :d_w] = model.word_table.matrix[batch.word_ids[pack.slot_i, pack.slot_t]]
+    rows[:, d_w : d_w + d_p] = model.pos_table.matrix[batch.pos_ids[pack.slot_i, pack.slot_t]]
     seen: dict[bytes, int] = {}
     traces: list[CharTrace] = []
     vectors: list[np.ndarray] = []
-    index = np.empty(slot_i.size, dtype=np.intp)
-    for k, (i, t) in enumerate(zip(slot_i.tolist(), slot_t.tolist())):
+    index = np.empty(pack.slot_i.size, dtype=np.intp)
+    for k, (i, t) in enumerate(zip(pack.slot_i.tolist(), pack.slot_t.tolist())):
         chars = np.asarray(batch.chars[i][t], dtype=np.int64)
         key = chars.tobytes()
         j = seen.get(key)
@@ -449,52 +494,46 @@ def _featurize_batch(
             traces.append(trace)
         index[k] = j
     if traces:
-        rows[slot_i, slot_t, d_w + d_p :] = np.stack(vectors)[index]
+        rows[:, d_w + d_p :] = np.stack(vectors)[index]
     return rows, traces, index
 
 
 def forward_batch(
     model: ModelParameters, batch: ChunkBatch, plan: DropoutPlan | None = None
 ) -> ForwardCache:
-    features, traces, char_index = _featurize_batch(model, batch)
-    inputs = features * plan.input_mask if plan is not None else features
-    h_size = model.dims.hidden
-    concat = np.empty((batch.size, inputs.shape[1], 2 * h_size))
-    fwd = _direction_forward(
-        inputs, batch.mask, model.gru_fwd,
-        plan.rec_fwd if plan is not None else None, reverse=False, out=concat[..., :h_size],
-    )
-    bwd = _direction_forward(
-        inputs, batch.mask, model.gru_bwd,
-        plan.rec_bwd if plan is not None else None, reverse=True, out=concat[..., h_size:],
-    )
+    """Tag distributions and per-chunk losses for a batch.
+
+    Raises ValueError when the real slots of a chunk are not a prefix of its
+    window.
+    """
+    pack = _pack(batch.mask)
+    features, traces, char_index = _featurize_batch(model, batch, pack)
+    if plan is not None and plan.input_mask is not None:
+        inputs = features * plan.input_mask[pack.slot_i, pack.slot_t]
+    else:
+        inputs = features
+    h = model.dims.hidden
+    rec = _recurrent_masks(plan, pack.order, h)
+    gates, states = _bigru_forward(model, inputs, pack, rec)
+    concat = np.zeros((batch.size, batch.mask.shape[1], 2 * h))
+    for k, rows in enumerate(pack.rows):
+        concat[pack.slot_i[rows], pack.slot_t[rows], k * h : (k + 1) * h] = states[k]
     probs = dense_softmax(concat, model.dense)
     losses = _chunk_losses(probs, batch.labels, batch.mask)
     return ForwardCache(
         batch=batch,
+        pack=pack,
         inputs=inputs,
         char_traces=traces,
         char_index=char_index,
-        fwd=fwd,
-        bwd=bwd,
+        gates=gates,
+        states=states,
+        rec=rec,
         concat=concat,
         probs=probs,
         chunk_losses=losses,
         plan=plan,
     )
-
-
-def bigru_forward(
-    features: FeatureMatrix, p_fwd: GruDirectionParams, p_bwd: GruDirectionParams
-) -> np.ndarray:
-    """Per-position concatenated forward/backward states; zero rows at pads."""
-    x = features.rows[None, :, :]
-    mask = features.mask[None, :].astype(np.float64)
-    h_size = p_fwd.hidden
-    out = np.empty((1, x.shape[1], 2 * h_size))
-    _direction_forward(x, mask, p_fwd, None, reverse=False, out=out[..., :h_size])
-    _direction_forward(x, mask, p_bwd, None, reverse=True, out=out[..., h_size:])
-    return out[0]
 
 
 def dense_softmax(h: np.ndarray, p: DenseParams) -> np.ndarray:
@@ -533,63 +572,67 @@ def masked_cross_entropy(
 # Backward
 
 
-def _direction_backward(
-    cache: DirectionCache,
-    d_out: np.ndarray,
-    x: np.ndarray,
-    mask: np.ndarray,
-    p: GruDirectionParams,
-    rec_mask: np.ndarray | None,
-    grads: dict[str, np.ndarray],
-    prefix: str,
-) -> np.ndarray:
-    """Backpropagate through one GRU direction; returns d(inputs).
+def _bigru_backward(
+    model: ModelParameters, cache: ForwardCache, d_states: np.ndarray
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Backpropagate through both GRU directions given d(states) (2, R, H).
 
-    The time loop only carries dh and stores each step's pre-activation
-    deltas z | r | h; the weight, bias and input gradients are then one GEMM
-    each over all positions.
+    Returns d(inputs) by feature row and the per-gate GRU gradients.  The
+    packed loop only carries dh and stores each row's pre-activation deltas
+    z | r | h; the weight, bias and input gradients are then one GEMM each.
     """
-    b, t_len, d = x.shape
-    h_size = p.hidden
-    w, u_zr, _ = _stacked(p)
-    real = mask > 0
-    da = np.zeros((b, t_len, 3 * h_size))  # pre-activation deltas by position
-    dh = np.zeros((b, h_size))
-    for t in reversed(_positions(t_len, cache.reverse)):
-        m = real[:, t : t + 1]
-        h_prev = cache.h_prev[:, t]
-        hd = h_prev * rec_mask if rec_mask is not None else h_prev
-        g = cache.gates[:, t]
-        z = g[:, :h_size]
-        r = g[:, h_size : 2 * h_size]
-        candidate = g[:, 2 * h_size :]
-        da_t = da[:, t]
-
-        dh_new = np.where(m, dh + d_out[:, t], 0.0)
-        da_t[:, :h_size] = dh_new * (candidate - h_prev) * z * (1.0 - z)
-        da_h = da_t[:, 2 * h_size :] = dh_new * z * (1.0 - candidate * candidate)
-        drh = da_h @ p.u_h
-        da_t[:, h_size : 2 * h_size] = drh * hd * r * (1.0 - r)
+    h = model.dims.hidden
+    pack, gates, states, rec = cache.pack, cache.gates, cache.states, cache.rec
+    offsets = pack.offsets.tolist()
+    running = np.diff(pack.offsets)
+    n_rows = states.shape[1]
+    first = offsets[1] if len(offsets) > 1 else 0
+    # The state entering a packed row is its chunk's row one step earlier
+    # (running[k - 1] rows back), and zero at step 0.
+    h_prev = np.zeros_like(states)
+    h_prev[:, first:] = states[:, np.arange(first, n_rows) - np.repeat(running[:-1], running[1:])]
+    if rec is not None:
+        hd_all = h_prev * rec[:, np.arange(n_rows) - np.repeat(pack.offsets[:-1], running)]
+    else:
+        hd_all = h_prev
+    u_zr = model.gru_u[:, : 2 * h]
+    u_h = model.gru_u[:, 2 * h :]
+    da = np.empty((2, n_rows, 3 * h))  # pre-activation deltas by packed row
+    dh = np.zeros((2, first, h))
+    for lo, hi in reversed(list(zip(offsets, offsets[1:]))):
+        n = hi - lo
+        g = gates[:, lo:hi]
+        z = g[..., :h]
+        r = g[..., h : 2 * h]
+        candidate = g[..., 2 * h :]
+        hp = h_prev[:, lo:hi]
+        da_t = da[:, lo:hi]
+        # Rows past the previous step's running chunks were never written: zero.
+        dh_new = dh[:, :n] + d_states[:, lo:hi]
+        da_t[..., :h] = dh_new * (candidate - hp) * z * (1.0 - z)
+        da_h = da_t[..., 2 * h :] = dh_new * z * (1.0 - candidate * candidate)
+        drh = da_h @ u_h
+        da_t[..., h : 2 * h] = drh * hd_all[:, lo:hi] * r * (1.0 - r)
         dhd = drh * r
-        dhd += da_t[:, : 2 * h_size] @ u_zr
-        dh = np.where(m, dh_new * (1.0 - z), dh)
-        dh += dhd * rec_mask if rec_mask is not None else dhd
+        dhd += da_t[..., : 2 * h] @ u_zr
+        dh[:, :n] = dh_new * (1.0 - z) + (dhd * rec[:, :n] if rec is not None else dhd)
 
-    da = da.reshape(b * t_len, 3 * h_size)
-    hd_all = cache.h_prev * rec_mask[:, None, :] if rec_mask is not None else cache.h_prev
-    rh_all = cache.gates[..., h_size : 2 * h_size] * hd_all
-    d_w = da.T @ x.reshape(b * t_len, d)
-    d_b = da.sum(axis=0)
+    # Both directions' input-side deltas by feature row, side by side.
+    d_proj = np.empty((n_rows, 6 * h))
+    d_proj[pack.rows[0], : 3 * h] = da[0]
+    d_proj[pack.rows[1], 3 * h :] = da[1]
+    d_w = (d_proj.T @ cache.inputs).reshape(2, 3 * h, -1)
+    d_b = d_proj.sum(axis=0).reshape(2, 3 * h)
     d_u = np.concatenate([
-        da[:, : 2 * h_size].T @ hd_all.reshape(b * t_len, h_size),
-        da[:, 2 * h_size :].T @ rh_all.reshape(b * t_len, h_size),
-    ])
-    stacked = {"w": d_w, "u": d_u, "b": d_b}
-    for name in GruDirectionParams.GATE_NAMES:
-        kind, gate = name.split("_")
-        k = "zrh".index(gate)
-        grads[f"{prefix}.{name}"] = stacked[kind][k * h_size : (k + 1) * h_size]
-    return (da @ w).reshape(b, t_len, d)
+        da[..., : 2 * h].transpose(0, 2, 1) @ hd_all,
+        da[..., 2 * h :].transpose(0, 2, 1) @ (gates[..., h : 2 * h] * hd_all),
+    ], axis=1)
+    grads = {
+        f"{prefix}.{name}": getattr(views, name)
+        for prefix, views in zip(("gru_fwd", "gru_bwd"), _gate_views(d_w, d_u, d_b))
+        for name in GruDirectionParams.GATE_NAMES
+    }
+    return d_proj @ model.gru_w.reshape(6 * h, -1), grads
 
 
 def _char_cnn_backward(
@@ -637,29 +680,23 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
     grads: dict[str, np.ndarray] = {}
     grads["dense.w"] = dlogits.reshape(-1, 3).T @ cache.concat.reshape(-1, 2 * h_size)
     grads["dense.b"] = dlogits.sum(axis=(0, 1))
-    d_concat = dlogits @ model.dense.w
-
-    dx = _direction_backward(
-        cache.fwd, d_concat[..., :h_size], cache.inputs, batch.mask, model.gru_fwd,
-        cache.plan.rec_fwd if cache.plan is not None else None, grads, "gru_fwd",
-    )
-    dx += _direction_backward(
-        cache.bwd, d_concat[..., h_size:], cache.inputs, batch.mask, model.gru_bwd,
-        cache.plan.rec_bwd if cache.plan is not None else None, grads, "gru_bwd",
-    )
+    pack = cache.pack
+    d_real = dlogits[pack.slot_i, pack.slot_t] @ model.dense.w  # (R, 2H)
+    d_states = np.stack([d_real[pack.rows[0], :h_size], d_real[pack.rows[1], h_size:]])
+    dx, gru_grads = _bigru_backward(model, cache, d_states)
+    grads.update(gru_grads)
     if cache.plan is not None and cache.plan.input_mask is not None:
-        dx = dx * cache.plan.input_mask
+        dx *= cache.plan.input_mask[pack.slot_i, pack.slot_t]
 
     d_w = model.word_table.dim
     d_p = model.pos_table.dim
-    real = batch.mask > 0
     if model.word_table.trainable:
         g_word = np.zeros_like(model.word_table.matrix)
-        np.add.at(g_word, batch.word_ids[real], dx[..., :d_w][real])
+        np.add.at(g_word, batch.word_ids[pack.slot_i, pack.slot_t], dx[:, :d_w])
         g_word[0] = 0.0
         grads["word_table"] = g_word
     g_pos = np.zeros_like(model.pos_table.matrix)
-    np.add.at(g_pos, batch.pos_ids[real], dx[..., d_w : d_w + d_p][real])
+    np.add.at(g_pos, batch.pos_ids[pack.slot_i, pack.slot_t], dx[:, d_w : d_w + d_p])
     g_pos[0] = 0.0
     grads["pos_table"] = g_pos
 
@@ -667,7 +704,7 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
     # char sequence (and so a trace) can sum their gradients first.
     char = model.char_params
     d_chars = np.zeros((len(cache.char_traces), char.output_dim))
-    np.add.at(d_chars, cache.char_index, dx[..., d_w + d_p :][real])
+    np.add.at(d_chars, cache.char_index, dx[:, d_w + d_p :])
     g_char_table, g_filters, g_biases = _char_cnn_backward(char, cache.char_traces, d_chars)
     grads["char_table"] = g_char_table
     for width, gf, gb in zip(char.widths, g_filters, g_biases):

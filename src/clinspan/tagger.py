@@ -6,6 +6,7 @@ A loaded model is immutable and safe for concurrent inference.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import hashlib
 import struct
@@ -258,6 +259,7 @@ def train(
     Adam, then record the dropout-free summed loss over the training and
     validation chunks plus validation span-F1.  The parameters returned come
     from the epoch with the lowest validation loss (checkpoint restore).
+    Raises NumericError when no epoch's validation loss is finite.
     """
     if len(corpus.sentences) == 0:
         raise ValueError("cannot train on an empty corpus")
@@ -343,6 +345,11 @@ def train(
         if patience > 0 and epoch - history.best_epoch >= patience:
             break
 
+    if history.epochs and best_model is None:
+        raise NumericError(
+            f"no epoch of {history.stopped_epoch} produced a finite validation loss "
+            f"(last: {history.epochs[-1].valid_loss})"
+        )
     if best_model is not None:
         model = best_model
     return model, history
@@ -362,16 +369,7 @@ def train(
 def save_model(model: ModelParameters, vocab: Vocabulary, path: str) -> None:
     manifest = [(name, list(arr.shape)) for name, arr in named_tensors(model)]
     header = {
-        "dims": {
-            "word_dim": model.dims.word_dim,
-            "pos_dim": model.dims.pos_dim,
-            "char_dim": model.dims.char_dim,
-            "char_filters": model.dims.char_filters,
-            "char_widths": list(model.dims.char_widths),
-            "hidden": model.dims.hidden,
-            "window": model.dims.window,
-            "overlap": model.dims.overlap,
-        },
+        "dims": dataclasses.asdict(model.dims),
         "word_table_trainable": model.word_table.trainable,
         "vocab": {
             "word_to_index": vocab.word_to_index,
@@ -411,29 +409,25 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary]:
 
     (header_len,) = struct.unpack("<Q", blob[12:20])
     header_end = 20 + header_len
-    header = json.loads(blob[20:header_end].decode("utf-8"))
-    dims = ModelDims(
-        word_dim=header["dims"]["word_dim"],
-        pos_dim=header["dims"]["pos_dim"],
-        char_dim=header["dims"]["char_dim"],
-        char_filters=header["dims"]["char_filters"],
-        char_widths=tuple(header["dims"]["char_widths"]),
-        hidden=header["dims"]["hidden"],
-        window=header["dims"]["window"],
-        overlap=header["dims"]["overlap"],
-    )
-    vocab = Vocabulary(
-        word_to_index=dict(header["vocab"]["word_to_index"]),
-        pos_to_index=dict(header["vocab"]["pos_to_index"]),
-        char_to_index=dict(header["vocab"]["char_to_index"]),
-    )
+    dims, trainable, vocab, manifest = _read_header(blob[20:header_end])
+    expected = _expected_shapes(dims, vocab)
+    names = [name for name, _ in manifest]
+    if names != list(expected):
+        missing = [n for n in expected if n not in names] or ["none"]
+        unexpected = [n for n in names if n not in expected] or ["none"]
+        raise ArchiveError(
+            f"tensor manifest does not match the dims (missing: {', '.join(missing)}; "
+            f"unexpected: {', '.join(unexpected)})"
+        )
+    for name, shape in manifest:
+        if shape != expected[name]:
+            raise ArchiveError(f"tensor {name} has shape {shape}, expected {expected[name]}")
 
     tensors: dict[str, np.ndarray] = {}
     cursor = header_end
     payload_end = len(blob) - 32
-    for name, shape in header["tensors"]:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for name, shape in manifest:
+        nbytes = int(np.prod(shape)) * 8
         if cursor + nbytes > payload_end:
             raise ArchiveError(f"payload truncated while reading tensor {name}")
         tensors[name] = (
@@ -441,6 +435,8 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary]:
             .reshape(shape)
             .astype(np.float64)
         )
+        if not np.isfinite(tensors[name]).all():
+            raise ArchiveError(f"tensor {name} contains non-finite values")
         cursor += nbytes
     if cursor != payload_end:
         raise ArchiveError("trailing bytes after tensor payload")
@@ -451,9 +447,7 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary]:
         )
 
     model = ModelParameters(
-        word_table=EmbeddingTable(
-            tensors["word_table"], trainable=header["word_table_trainable"]
-        ),
+        word_table=EmbeddingTable(tensors["word_table"], trainable=trainable),
         pos_table=PosEmbedding(tensors["pos_table"]),
         char_params=CharCnnParams(
             char_table=tensors["char_table"],
@@ -466,26 +460,62 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary]:
         dense=DenseParams(w=tensors["dense.w"], b=tensors["dense.b"]),
         dims=dims,
     )
-    _validate_shapes(model, vocab)
     return model, vocab
 
 
-def _validate_shapes(model: ModelParameters, vocab: Vocabulary) -> None:
-    d = model.dims
-    expect = {
-        "word_table": (vocab.word_size, d.word_dim),
-        "pos_table": (vocab.pos_size, d.pos_dim),
-        "char_table": (vocab.char_size, d.char_dim),
-        "dense.w": (3, 2 * d.hidden),
-        "dense.b": (3,),
+def _read_header(
+    raw: bytes,
+) -> tuple[ModelDims, bool, Vocabulary, list[tuple[str, tuple[int, ...]]]]:
+    """Dims, word-table flag, vocabulary and tensor manifest of an archive
+    header; any malformed or missing entry raises ArchiveError."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+        dims_raw = dict(header["dims"])
+        dims = ModelDims(**{**dims_raw, "char_widths": tuple(dims_raw["char_widths"])})
+        ChunkConfig(window=dims.window, overlap=dims.overlap)  # raises on a bad pair
+        trainable = header["word_table_trainable"]
+        vocab = Vocabulary(
+            word_to_index=dict(header["vocab"]["word_to_index"]),
+            pos_to_index=dict(header["vocab"]["pos_to_index"]),
+            char_to_index=dict(header["vocab"]["char_to_index"]),
+        )
+        manifest = [(str(name), tuple(shape)) for name, shape in header["tensors"]]
+    except KeyError as exc:
+        raise ArchiveError(f"archive header has no {exc} entry") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ArchiveError(f"malformed archive header: {exc}") from None
+    sizes = [getattr(dims, f.name) for f in dataclasses.fields(dims) if f.name != "char_widths"]
+    if not dims.char_widths or not all(type(v) is int for v in sizes + list(dims.char_widths)):
+        raise ArchiveError(f"archive dims must be integers: {dims_raw}")
+    for kind in ("word", "pos", "char"):
+        indices = getattr(vocab, f"{kind}_to_index").values()
+        if set(indices) != set(range(len(indices))) or not all(type(i) is int for i in indices):
+            raise ArchiveError(f"archive {kind} vocabulary does not map onto 0..size-1")
+    if not isinstance(trainable, bool):
+        raise ArchiveError("archive header's word_table_trainable is not a boolean")
+    if not all(type(n) is int for shape in (s for _, s in manifest) for n in shape):
+        raise ArchiveError("archive tensor shapes are not integer lists")
+    return dims, trainable, vocab, manifest
+
+
+def _expected_shapes(dims: ModelDims, vocab: Vocabulary) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter tensor, in archive order."""
+    d, h = dims.feature_dim, dims.hidden
+    shapes: dict[str, tuple[int, ...]] = {
+        "word_table": (vocab.word_size, dims.word_dim),
+        "pos_table": (vocab.pos_size, dims.pos_dim),
+        "char_table": (vocab.char_size, dims.char_dim),
     }
-    for name, arr in named_tensors(model):
-        if name in expect and arr.shape != expect[name]:
-            raise ArchiveError(
-                f"tensor {name} has shape {arr.shape}, expected {expect[name]}"
-            )
-        if not np.isfinite(arr).all():
-            raise ArchiveError(f"tensor {name} contains non-finite values")
+    for k in dims.char_widths:
+        shapes[f"char_filters_w{k}"] = (dims.char_filters, k, dims.char_dim)
+        shapes[f"char_bias_w{k}"] = (dims.char_filters,)
+    for prefix in ("gru_fwd", "gru_bwd"):
+        for gate in GruDirectionParams.GATE_NAMES:
+            kind = gate[0]
+            shapes[f"{prefix}.{gate}"] = (h, d) if kind == "w" else (h, h) if kind == "u" else (h,)
+    shapes["dense.w"] = (3, 2 * h)
+    shapes["dense.b"] = (3,)
+    return shapes
 
 
 def format_history(history: TrainHistory) -> str:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import struct
+
 import pytest
 
 from clinspan.cli import RunConfig, load_config_file, main
@@ -99,6 +103,22 @@ class TestTrainCommand:
         assert rows == []
         load_model(str(model_path))
 
+    def test_nan_learning_rate_is_numeric_failure(self, tmp_path, capsys):
+        model_path = tmp_path / "nan.bin"
+        code = run(
+            "train",
+            "--corpus", str(DATA_DIR / "overfit_corpus.txt"),
+            "--embeddings", str(DATA_DIR / "overfit_embeddings.txt"),
+            "--model", str(model_path),
+            "--epochs", "1", "--lr", "nan",
+            "--hidden", "4", "--char-filters", "2", "--pos-dim", "2",
+            "--char-dim", "2",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("clinspan: numeric failure:") and err.count("\n") == 1
+        assert not model_path.exists()
+
     def test_missing_required_paths(self, capsys):
         assert run("train", "--epochs", "1") == 1
         assert "requires" in capsys.readouterr().err
@@ -184,6 +204,49 @@ class TestTagCommand:
         assert run("tag", "--model", str(broken),
                    "--input", str(DATA_DIR / "stats_corpus.txt"),
                    "--output", str(tmp_path / "x.txt")) == 2
+
+
+    def test_archive_with_wrong_gate_shape_rejected(self, trained, tmp_path, capsys):
+        # 4 x 16 holds as many values as the 8 x 8 that hidden 8 calls for.
+        def edit(header):
+            for entry in header["tensors"]:
+                if entry[0] == "gru_fwd.u_z":
+                    entry[1] = [4, 16]
+
+        self._assert_rejected(trained, tmp_path, capsys, edit, "gru_fwd.u_z")
+
+    def test_archive_header_missing_key_rejected(self, trained, tmp_path, capsys):
+        self._assert_rejected(
+            trained, tmp_path, capsys, lambda header: header.pop("word_table_trainable"),
+            "word_table_trainable",
+        )
+
+    def test_archive_with_out_of_range_word_index_rejected(self, trained, tmp_path, capsys):
+        def edit(header):
+            words = header["vocab"]["word_to_index"]
+            words[max(words, key=words.get)] = 10**6
+
+        self._assert_rejected(trained, tmp_path, capsys, edit, "word vocabulary")
+
+    @staticmethod
+    def _assert_rejected(trained, tmp_path, capsys, edit, needle):
+        """Edit the header of a copy of the archive, checksum it again, and
+        expect tag to exit 2 with a one-line message."""
+        blob = trained.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[12:20])
+        header = json.loads(blob[20 : 20 + header_len])
+        edit(header)
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        body = blob[:12] + struct.pack("<Q", len(raw)) + raw + blob[20 + header_len : -32]
+        edited = tmp_path / "edited.bin"
+        edited.write_bytes(body + hashlib.sha256(body).digest())
+        capsys.readouterr()
+        assert run("tag", "--model", str(edited),
+                   "--input", str(DATA_DIR / "stats_corpus.txt"),
+                   "--output", str(tmp_path / "x.txt")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("clinspan: data error:") and err.count("\n") == 1
+        assert needle in err
 
 
 class TestEvalCommand:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from clinspan import neural
 from clinspan.chunking import PaddedChunk
-from clinspan.features import FeatureMatrix
 from clinspan.neural import (
     AdamState,
     DenseParams,
@@ -22,14 +21,12 @@ from clinspan.neural import (
     backward,
     backward_from_cache,
     batch_chunks,
-    bigru_forward,
     build_probe,
     clip_gradients,
     dense_softmax,
     finite_difference_check,
     forward_batch,
     global_grad_norm,
-    gru_cell_forward,
     make_dropout_plan,
     masked_cross_entropy,
     named_tensors,
@@ -37,6 +34,16 @@ from clinspan.neural import (
     trainable_tensor_names,
 )
 from clinspan.neural import _sigmoid
+
+
+def gru_cell_forward(x, h_prev, p):
+    """One GRU step over a vector (D,) or batch of row vectors (..., D): the
+    per-cell oracle that the packed loop in forward_batch is tested against."""
+    sigmoid = lambda v: 1.0 / (1.0 + np.exp(-v))
+    z = sigmoid(x @ p.w_z.T + h_prev @ p.u_z.T + p.b_z)
+    r = sigmoid(x @ p.w_r.T + h_prev @ p.u_r.T + p.b_r)
+    candidate = np.tanh(x @ p.w_h.T + (r * h_prev) @ p.u_h.T + p.b_h)
+    return (1.0 - z) * h_prev + z * candidate
 
 
 def _gru_params(h, d, fill=0.0):
@@ -92,51 +99,56 @@ class TestGruCell:
             assert (np.abs(h) <= 1.0 + 1e-12).all()
 
 
-def _feature_matrix(rows, real):
-    rows = np.asarray(rows, dtype=np.float64)
-    mask = np.zeros(rows.shape[0], dtype=bool)
-    mask[:real] = True
-    rows = rows.copy()
-    rows[~mask] = 0.0
-    return FeatureMatrix(rows=rows, mask=mask)
+def _bigru_states(model, chunk, p_fwd, p_bwd):
+    """forward_batch on one chunk with the given GRU directions: the
+    concatenated states (T, 2H) and the feature rows of the real slots."""
+    model = dataclasses.replace(model, gru_fwd=p_fwd, gru_bwd=p_bwd)
+    cache = forward_batch(model, batch_chunks([chunk]))
+    return cache.concat[0], cache.inputs
 
 
 class TestBigruForward:
     def test_single_token_both_halves_from_same_input(self):
         rng = np.random.default_rng(2)
-        p = _random_gru(3, 2, rng)
-        fm = _feature_matrix(rng.normal(size=(4, 2)), real=1)
-        out = bigru_forward(fm, p, p)
+        model, chunk = build_probe(seed=2, hidden=3, window=4, real_tokens=1)
+        p = _random_gru(3, model.dims.feature_dim, rng)
+        out, _ = _bigru_states(model, chunk, p, p)
         np.testing.assert_allclose(out[0, :3], out[0, 3:], atol=1e-14)
 
     def test_palindrome_with_shared_params(self):
         # For x_t = x_{T-1-t} and identical direction parameters, the forward
         # state at t equals the backward state at T-1-t.
         rng = np.random.default_rng(3)
-        p = _random_gru(1, 1, rng)
-        rows = np.array([[0.3], [-0.7], [0.3]])
-        fm = _feature_matrix(rows, real=3)
-        out = bigru_forward(fm, p, p)
+        model, chunk = build_probe(seed=3, hidden=1, window=3, real_tokens=3)
+        mirror = [0, 1, 0]
+        chunk = dataclasses.replace(
+            chunk,
+            word_ids=chunk.word_ids[mirror],
+            pos_ids=chunk.pos_ids[mirror],
+            char_ids=tuple(chunk.char_ids[t] for t in mirror),
+        )
+        p = _random_gru(1, model.dims.feature_dim, rng)
+        out, rows = _bigru_states(model, chunk, p, p)
+        np.testing.assert_array_equal(rows[0], rows[2])
         fwd, bwd = out[:, 0], out[:, 1]
         for t in range(3):
             assert fwd[t] == pytest.approx(bwd[2 - t], abs=1e-14)
 
     def test_pad_rows_emit_zero(self):
         rng = np.random.default_rng(4)
-        p_f = _random_gru(4, 3, rng)
-        p_b = _random_gru(4, 3, rng)
-        fm = _feature_matrix(rng.normal(size=(6, 3)), real=2)
-        out = bigru_forward(fm, p_f, p_b)
+        model, chunk = build_probe(seed=4, hidden=4, window=6, real_tokens=2)
+        p_f = _random_gru(4, model.dims.feature_dim, rng)
+        p_b = _random_gru(4, model.dims.feature_dim, rng)
+        out, _ = _bigru_states(model, chunk, p_f, p_b)
         np.testing.assert_array_equal(out[2:], np.zeros((4, 8)))
         assert np.abs(out[:2]).max() > 0
 
     def test_matches_cell_iteration(self):
         rng = np.random.default_rng(5)
-        p_f = _random_gru(3, 2, rng)
-        p_b = _random_gru(3, 2, rng)
-        rows = rng.normal(size=(4, 2))
-        fm = _feature_matrix(rows, real=4)
-        out = bigru_forward(fm, p_f, p_b)
+        model, chunk = build_probe(seed=5, hidden=3, window=4, real_tokens=4)
+        p_f = _random_gru(3, model.dims.feature_dim, rng)
+        p_b = _random_gru(3, model.dims.feature_dim, rng)
+        out, rows = _bigru_states(model, chunk, p_f, p_b)
         h = np.zeros(3)
         for t in range(4):
             h = gru_cell_forward(rows[t], h, p_f)
@@ -584,3 +596,93 @@ class TestCharDedupGradients:
         assert len(cache.char_traces) < chunk.real_count
         report = finite_difference_check(model, chunk)
         assert report.ok, report.format()
+
+
+class TestPackedLayout:
+    def test_gradcheck_mixed_batch_with_dropout_plan(self):
+        # Packing sorts the chunks by length, so the recurrent masks are
+        # reordered; finite differences through a fixed plan check that the
+        # backward pass reorders them the same way.
+        model = _probe_model(seed=9)
+        batch = batch_chunks(MIXED_CHUNKS)
+        assert len({int(n) for n in batch.mask.sum(axis=1)}) > 2
+        plan = make_dropout_plan(
+            np.random.default_rng(21), 0.5, batch.size, batch.mask.shape[1],
+            model.dims.feature_dim, model.dims.hidden,
+        )
+        analytic = backward_from_cache(model, forward_batch(model, batch, plan))
+
+        def loss():
+            return forward_batch(model, batch, plan).mean_loss
+
+        for name, arr in named_tensors(model):
+            eligible = np.arange(arr.size)
+            if name in neural.FROZEN_ROW_TABLES:
+                eligible = eligible[eligible >= arr.shape[1]]
+            rng = np.random.default_rng(len(name))
+            for flat in rng.choice(eligible, size=min(20, eligible.size), replace=False):
+                orig = arr.flat[flat]
+                arr.flat[flat] = orig + 1e-5
+                up = loss()
+                arr.flat[flat] = orig - 1e-5
+                down = loss()
+                arr.flat[flat] = orig
+                numeric = (up - down) / 2e-5
+                a = analytic[name].flat[flat]
+                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+                assert rel < 1e-4, (name, flat, a, numeric)
+
+    def test_dropout_plan_rows_follow_their_chunks(self):
+        # Row i of every plan mask belongs to chunk i of the batch, whatever
+        # order the packed loop runs the chunks in.
+        model = _probe_model(seed=12)
+        batch = batch_chunks(MIXED_CHUNKS)
+        plan = make_dropout_plan(
+            np.random.default_rng(22), 0.5, batch.size, batch.mask.shape[1],
+            model.dims.feature_dim, model.dims.hidden,
+        )
+        cache = forward_batch(model, batch, plan)
+        batched = backward_from_cache(model, cache)
+        per_chunk = []
+        for i, chunk in enumerate(MIXED_CHUNKS):
+            own = neural.DropoutPlan(*(m[i : i + 1] for m in (plan.input_mask, plan.rec_fwd, plan.rec_bwd)))
+            single = forward_batch(model, batch_chunks([chunk]), own)
+            np.testing.assert_allclose(cache.probs[i], single.probs[0], rtol=0, atol=1e-12)
+            per_chunk.append(backward_from_cache(model, single))
+        for name, grad in batched.items():
+            mean = sum(g[name] for g in per_chunk) / len(per_chunk)
+            np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_non_prefix_mask_rejected(self):
+        batch = batch_chunks(MIXED_CHUNKS[:2])
+        batch.mask[1, 0] = 0.0  # a pad slot before real ones
+        with pytest.raises(ValueError, match="prefix"):
+            forward_batch(_probe_model(), batch)
+
+    def test_gate_names_are_views_of_the_stored_arrays(self):
+        model = _probe_model(seed=10)
+        h = model.dims.hidden
+        np.testing.assert_array_equal(model.gru_bwd.u_r, model.gru_u[1, h : 2 * h])
+        assert np.shares_memory(model.gru_bwd.u_r, model.gru_u)
+        batch = batch_chunks(MIXED_CHUNKS)
+        before = forward_batch(model, batch).probs
+        tensors = dict(named_tensors(model))
+        grads = {name: np.zeros_like(tensors[name]) for name in trainable_tensor_names(model)}
+        grads["gru_bwd.u_r"][:] = 1.0
+        stored = model.gru_u.copy()
+        adam_step(model, grads, AdamState.for_model(model), lr=0.01)
+        moved = np.zeros(stored.shape, dtype=bool)
+        moved[1, h : 2 * h] = True
+        np.testing.assert_allclose(model.gru_u[moved] - stored[moved], -0.01, atol=1e-9)
+        np.testing.assert_array_equal(model.gru_u[~moved], stored[~moved])
+        assert np.abs(forward_batch(model, batch).probs - before).max() > 0
+
+    def test_clone_shares_no_memory(self):
+        model = _probe_model(seed=11)
+        copy = model.clone()
+        stored = lambda m: [a for _, a in named_tensors(m)] + [m.gru_w, m.gru_u, m.gru_b]
+        for a, b in zip(stored(model), stored(copy)):
+            np.testing.assert_array_equal(a, b)
+        for a in stored(model):
+            assert not any(np.shares_memory(a, b) for b in stored(copy))
+        assert np.shares_memory(copy.gru_fwd.w_h, copy.gru_w)

@@ -10,7 +10,7 @@ from clinspan.chunking import ChunkConfig, chunk_sentence
 from clinspan.corpus import build_vocab, count_spans, stratified_split
 from clinspan.features import EmbeddingTable
 from clinspan.metrics import prf, span_match_counts
-from clinspan.neural import batch_chunks, build_probe, forward_batch, named_tensors
+from clinspan.neural import NumericError, batch_chunks, build_probe, forward_batch, named_tensors
 from clinspan.tagger import (
     ArchiveChecksumError,
     ArchiveError,
@@ -322,6 +322,13 @@ class TestTrain:
         assert history.epochs[history.best_epoch - 1].valid_loss == min(losses)
 
 
+class TestDivergence:
+    def test_no_finite_validation_loss_raises(self):
+        corpus, vocab, emb = _training_setup()
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="finite"):
+            train(corpus, emb, _small_config(epochs=1, lr=float("nan"), batch_size=64), vocab=vocab)
+
+
 class TestPersistence:
     def _trained_pair(self, tmp_path):
         corpus, vocab, emb = _training_setup()
@@ -338,6 +345,14 @@ class TestPersistence:
         assert loaded.dims == model.dims
         for (name, a), (_, b) in zip(named_tensors(model), named_tensors(loaded)):
             assert a.tobytes() == b.tobytes(), name
+
+    def test_round_trip_restores_stored_gru_layout(self, tmp_path):
+        model, _, _, path = self._trained_pair(tmp_path)
+        loaded, _ = load_model(str(path))
+        for name in ("gru_w", "gru_u", "gru_b"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
+        assert np.shares_memory(loaded.gru_fwd.u_z, loaded.gru_u)
+        assert np.shares_memory(loaded.gru_bwd.b_h, loaded.gru_b)
 
     def test_round_trip_identical_predictions(self, tmp_path):
         model, vocab, corpus, path = self._trained_pair(tmp_path)
