@@ -17,10 +17,7 @@ from .corpus import (
 from .features import (
     CharCnnParams,
     EmbeddingTable,
-    FeatureMatrix,
     PosEmbedding,
-    char_cnn_forward,
-    featurize_chunk,
     load_embeddings,
 )
 from .metrics import EvalResult, evaluation_report, prf, span_match_counts, token_accuracy
@@ -31,12 +28,10 @@ from .neural import (
     ModelDims,
     ModelParameters,
     adam_step,
-    apply_dropout,
     backward,
     clip_gradients,
     dense_softmax,
     finite_difference_check,
-    masked_cross_entropy,
 )
 from .tagger import (
     ConceptSpan,

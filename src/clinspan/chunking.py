@@ -23,7 +23,9 @@ class ChunkConfig:
 
     def __post_init__(self) -> None:
         if not 0 < self.overlap < self.window:
-            raise ValueError("require 0 < overlap < window")
+            raise ValueError(
+                f"require 0 < overlap < window, got window={self.window}, overlap={self.overlap}"
+            )
 
     @property
     def stride(self) -> int:

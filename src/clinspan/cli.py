@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from . import metrics
@@ -36,6 +37,7 @@ from .tagger import (
     predict_corpus_labels,
     save_model,
     train,
+    write_atomic,
 )
 
 
@@ -51,63 +53,9 @@ class DataError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Every tunable plus file paths; defaults are the published values."""
-
-    epochs: int = 15
-    lr: float = 0.001
-    clip_norm: float = 5.0
-    dropout: float = 0.5
-    batch_size: int = 32
-    early_stop_patience: int = 3
-    seed: int = 42
-    valid_fraction: float = 0.2
-    window: int = 19
-    overlap: int = 2
-    pos_dim: int = 16
-    char_dim: int = 24
-    char_filters: int = 32
-    char_widths: str = "3"
-    hidden: int = 128
-    min_count: int = 1
-    train_word_embeddings: bool = False
-    corpus: str | None = None
-    embeddings: str | None = None
-    model: str | None = None
-    output: str | None = None
-    history: str | None = None
-    spans_out: str | None = None
-
-    def train_config(self) -> TrainConfig:
-        try:
-            widths = tuple(int(w) for w in str(self.char_widths).split(",") if w.strip())
-        except ValueError:
-            raise ConfigError(f"bad char_widths value {self.char_widths!r}") from None
-        if not widths:
-            raise ConfigError("char_widths must name at least one kernel width")
-        return TrainConfig(
-            epochs=self.epochs,
-            lr=self.lr,
-            clip_norm=self.clip_norm,
-            dropout=self.dropout,
-            batch_size=self.batch_size,
-            early_stop_patience=self.early_stop_patience,
-            seed=self.seed,
-            valid_fraction=self.valid_fraction,
-            window=self.window,
-            overlap=self.overlap,
-            pos_dim=self.pos_dim,
-            char_dim=self.char_dim,
-            char_filters=self.char_filters,
-            char_widths=widths,
-            hidden=self.hidden,
-            min_count=self.min_count,
-            train_word_embeddings=self.train_word_embeddings,
-        )
-
-
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Config-file keys and ``train`` flags: every TrainConfig field plus these paths.
+PATH_KEYS = ("corpus", "embeddings", "model", "history")
+_CONFIG_TYPES = {f.name: f.type for f in fields(TrainConfig)} | dict.fromkeys(PATH_KEYS, "str")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -119,16 +67,17 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _parse_widths(raw: str) -> tuple[int, ...]:
+    return tuple(int(w) for w in raw.split(",") if w.strip())
+
+
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "tuple[int, ...]": _parse_widths}
+
+
 def _coerce(key: str, raw: str):
-    kind = _CONFIG_TYPES[key]
+    parse = _PARSERS.get(_CONFIG_TYPES[key], str)
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            return _parse_bool(raw)
-        return raw
+        return parse(raw)
     except ValueError:
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
 
@@ -153,15 +102,35 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
+def build_run_config(args: argparse.Namespace) -> tuple[TrainConfig, dict[str, str | None]]:
+    """The training config and the paths (``PATH_KEYS``) from the config file
+    and the flags; flags win.  An invalid value raises ConfigError."""
     values = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
     for key in _CONFIG_TYPES:
         override = getattr(args, key, None)
         if override is not None:
-            values[key] = override
-    return RunConfig(**values)
+            values[key] = _coerce(key, override) if isinstance(override, str) else override
+    paths = {key: values.pop(key, None) for key in PATH_KEYS}
+    try:
+        return TrainConfig(**values), paths
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _check_output_dirs(*paths: str | None) -> None:
+    for path in paths:
+        if path and not Path(path).resolve().parent.is_dir():
+            raise ConfigError(f"cannot write {path}: no such directory")
+
+
+@contextmanager
+def _writing(path: str):
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _read_corpus(path: str, require_labels: bool = True) -> AnnotatedCorpus:
@@ -177,43 +146,53 @@ def _read_corpus(path: str, require_labels: bool = True) -> AnnotatedCorpus:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    try:
+        config = ChunkConfig(window=args.window, overlap=args.overlap)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     corpus = _read_corpus(args.corpus)
-    config = ChunkConfig(window=args.window, overlap=args.overlap)
     print(format_stats(corpus_stats(corpus, config)), end="")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    run = build_run_config(args)
-    if not run.corpus or not run.embeddings or not run.model:
+    config, paths = build_run_config(args)
+    if not paths["corpus"] or not paths["embeddings"] or not paths["model"]:
         raise ConfigError("train requires corpus, embeddings, and model paths")
-    config = run.train_config()
-    corpus = _read_corpus(run.corpus)
+    model_path = paths["model"]
+    history_path = paths["history"] or model_path + ".history"
+    _check_output_dirs(model_path, history_path)
+    corpus = _read_corpus(paths["corpus"])
     if len(corpus.sentences) == 0:
-        raise DataError(f"corpus {run.corpus} contains no sentences")
+        raise DataError(f"corpus {paths['corpus']} contains no sentences")
     vocab = build_vocab(corpus, config.min_count)
     try:
-        with open(run.embeddings, "r", encoding="utf-8") as fh:
+        with open(paths["embeddings"], "r", encoding="utf-8") as fh:
             embeddings = load_embeddings(fh, vocab)
     except OSError as exc:
-        raise ConfigError(f"cannot read embeddings {run.embeddings}: {exc}") from None
+        raise ConfigError(f"cannot read embeddings {paths['embeddings']}: {exc}") from None
 
     model, history = train(corpus, embeddings, config, vocab=vocab)
-    save_model(model, vocab, run.model)
-    history_path = run.history or run.model + ".history"
-    Path(history_path).write_text(format_history(history), encoding="utf-8")
+    with _writing(model_path):
+        save_model(model, vocab, model_path)
+    with _writing(history_path):
+        write_atomic(history_path, format_history(history))
     if history.best_epoch:
         best = history.epochs[history.best_epoch - 1]
         print(f"best epoch: {history.best_epoch} (valid loss {best.valid_loss:.6g})")
     else:
         print("best epoch: none (no training epochs)")
-    print(f"model written to {run.model}")
+    print(f"model written to {model_path}")
     print(f"history written to {history_path}")
     return 0
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
-    model, vocab = load_model(args.model)
+    _check_output_dirs(args.output, args.spans_out)
+    try:
+        model, vocab = load_model(args.model)
+    except OSError as exc:
+        raise ConfigError(f"cannot read model {args.model}: {exc}") from None
     corpus = _read_corpus(args.input, require_labels=False)
     config = ChunkConfig(window=model.dims.window, overlap=model.dims.overlap)
     sentences = list(corpus.sentences)
@@ -236,10 +215,11 @@ def cmd_tag(args: argparse.Namespace) -> int:
                 f"{sentence.doc_id} {sentence.sent_index} {span.start} {span.end}"
             )
     out = AnnotatedCorpus(tuple(tagged), corpus.note_count if sentences else 0)
-    Path(args.output).write_text(serialize_corpus(out), encoding="utf-8")
+    with _writing(args.output):
+        write_atomic(args.output, serialize_corpus(out))
     if args.spans_out:
-        text = "\n".join(span_lines) + ("\n" if span_lines else "")
-        Path(args.spans_out).write_text(text, encoding="utf-8")
+        with _writing(args.spans_out):
+            write_atomic(args.spans_out, "\n".join(span_lines) + ("\n" if span_lines else ""))
     return 0
 
 
@@ -341,21 +321,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "model": "output model archive path",
         "history": "output per-epoch history file",
     }
-    for f in fields(RunConfig):
-        if f.name in ("output", "spans_out"):
-            continue
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            parser.add_argument(flag, type=_parse_bool, default=None,
-                                metavar="BOOL", help=flag_help.get(f.name))
-        elif f.type == "int":
-            parser.add_argument(flag, type=int, default=None,
-                                help=flag_help.get(f.name))
-        elif f.type == "float":
-            parser.add_argument(flag, type=float, default=None,
-                                help=flag_help.get(f.name))
-        else:
-            parser.add_argument(flag, default=None, help=flag_help.get(f.name))
+    for name, kind in _CONFIG_TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        if kind == "bool":
+            parser.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL")
+        elif kind in ("int", "float"):
+            parser.add_argument(flag, type=_PARSERS[kind], default=None)
+        else:  # paths, and char_widths as "3,5", are coerced in build_run_config
+            parser.add_argument(flag, default=None, help=flag_help.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="corpus statistics")
     p_stats.add_argument("corpus", help="corpus file in the column format")
-    p_stats.add_argument("--window", type=int, default=19)
-    p_stats.add_argument("--overlap", type=int, default=2)
+    p_stats.add_argument("--window", type=int, default=ChunkConfig.window)
+    p_stats.add_argument("--overlap", type=int, default=ChunkConfig.overlap)
     p_stats.set_defaults(func=cmd_stats)
 
     p_train = sub.add_parser("train", help="train a tagger")

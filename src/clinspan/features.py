@@ -2,8 +2,9 @@
 
 Each real token t gets the concatenation of its word-table row, its POS-table
 row, and a character-CNN vector (one max-over-time pooled ReLU convolution
-per filter per kernel width).  Pad slots get all-zero rows.  Row 0 (PAD) of
-every table is all zeros and stays frozen through training.
+per filter per kernel width); the neural module builds these rows for the
+real slots of a batch.  Row 0 (PAD) of every table is all zeros and stays
+frozen through training.
 
 Tables are read-only during featurization; the single writer during training
 is the optimizer step (see the neural module).
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chunking import PaddedChunk
 from .corpus import PAD_INDEX, UNK_INDEX, ParseError, Vocabulary
 
 
@@ -62,12 +62,6 @@ class CharCnnParams:
     @property
     def output_dim(self) -> int:
         return self.n_filters * len(self.widths)
-
-
-@dataclass
-class FeatureMatrix:
-    rows: np.ndarray  # (window, D) float64, all-zero on pad rows
-    mask: np.ndarray  # (window,) bool
 
 
 @dataclass
@@ -132,7 +126,14 @@ def _hashed_row(word: str, dim: int) -> np.ndarray:
 
 
 def char_cnn_trace(chars: np.ndarray, params: CharCnnParams) -> tuple[np.ndarray, CharTrace]:
-    """Char-CNN forward for one token, returning the output and its trace."""
+    """Char-CNN forward for one token, returning the fixed-size vector and the
+    trace its backward needs.
+
+    Indices outside the char table map to UNK.  Tokens shorter than a kernel
+    width are left-padded with the PAD character (whose embedding row is all
+    zeros) to yield exactly one window.  Pooling covers only windows over the
+    real sequence, so trailing PAD characters never change the output.
+    """
     n_chars = params.char_table.shape[0]
     chars = np.where((chars >= 0) & (chars < n_chars), chars, UNK_INDEX)
     # Trailing PAD characters are padding by definition; dropping them keeps
@@ -158,37 +159,3 @@ def char_cnn_trace(chars: np.ndarray, params: CharCnnParams) -> tuple[np.ndarray
         trace.pre.append(pre)
         trace.best.append(best)
     return np.concatenate(outputs), trace
-
-
-def char_cnn_forward(chars: np.ndarray, params: CharCnnParams) -> np.ndarray:
-    """Fixed-size character vector for one token (max-over-time pooled CNN).
-
-    Tokens shorter than a kernel width are left-padded with the PAD character
-    (whose embedding row is all zeros) to yield exactly one window.  Pooling
-    covers only windows over the real sequence, so trailing PAD characters
-    never change the output.
-    """
-    if len(chars) < 1:
-        raise ValueError("character sequence must be non-empty")
-    vector, _ = char_cnn_trace(np.asarray(chars, dtype=np.int64), params)
-    return vector
-
-
-def featurize_chunk(
-    chunk: PaddedChunk,
-    word_table: EmbeddingTable,
-    pos_table: PosEmbedding,
-    char_params: CharCnnParams,
-) -> FeatureMatrix:
-    """Stack per-slot feature rows: word ⊕ POS ⊕ char vectors, zeros at pads."""
-    d_w = word_table.dim
-    d_p = pos_table.dim
-    d_c = char_params.output_dim
-    rows = np.zeros((chunk.window, d_w + d_p + d_c), dtype=np.float64)
-    for t in range(chunk.window):
-        if not chunk.mask[t]:
-            continue
-        rows[t, :d_w] = word_table.matrix[chunk.word_ids[t]]
-        rows[t, d_w : d_w + d_p] = pos_table.matrix[chunk.pos_ids[t]]
-        rows[t, d_w + d_p :] = char_cnn_forward(chunk.char_ids[t], char_params)
-    return FeatureMatrix(rows=rows, mask=chunk.mask.copy())

@@ -54,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chunking import PaddedChunk
+from .chunking import ChunkConfig, PaddedChunk
 from .corpus import LABEL_TO_INDEX, Vocabulary
 from .features import (
     CharCnnParams,
@@ -98,13 +98,13 @@ class DenseParams:
 @dataclass(frozen=True)
 class ModelDims:
     word_dim: int
-    pos_dim: int = 16
-    char_dim: int = 24
-    char_filters: int = 32
-    char_widths: tuple[int, ...] = (3,)
-    hidden: int = 128
-    window: int = 19
-    overlap: int = 2
+    pos_dim: int
+    char_dim: int
+    char_filters: int
+    char_widths: tuple[int, ...]
+    hidden: int
+    window: int
+    overlap: int
 
     @property
     def char_output_dim(self) -> int:
@@ -280,7 +280,6 @@ class ChunkBatch:
     mask: np.ndarray  # (B, T) float64, 1.0 at real slots
     labels: np.ndarray  # (B, T) int64, -1 at pads / unlabeled
     chars: list[tuple[np.ndarray, ...]]
-    chunks: list[PaddedChunk]
 
     @property
     def size(self) -> int:
@@ -305,17 +304,16 @@ def batch_chunks(chunks: Sequence[PaddedChunk]) -> ChunkBatch:
         mask=np.stack([c.mask for c in chunks]).astype(np.float64),
         labels=labels,
         chars=[c.char_ids for c in chunks],
-        chunks=list(chunks),
     )
 
 
 @dataclass
 class DropoutPlan:
-    """Pre-scaled inverted-dropout masks for one batch (None disables a site)."""
+    """Pre-scaled inverted-dropout masks for one batch."""
 
-    input_mask: np.ndarray | None  # (B, T, D)
-    rec_fwd: np.ndarray | None  # (B, H), reused across timesteps
-    rec_bwd: np.ndarray | None  # (B, H)
+    input_mask: np.ndarray  # (B, T, D)
+    rec_fwd: np.ndarray  # (B, H), reused across timesteps
+    rec_bwd: np.ndarray  # (B, H)
 
 
 def make_dropout_plan(
@@ -329,26 +327,6 @@ def make_dropout_plan(
         rec_fwd=(rng.random((b, h)) >= rate) * scale,
         rec_bwd=(rng.random((b, h)) >= rate) * scale,
     )
-
-
-def apply_dropout(
-    row: np.ndarray, rate: float = 0.5, rng: np.random.Generator | None = None,
-    training: bool = True,
-) -> np.ndarray:
-    """Inverted dropout: zero with probability ``rate``, scale survivors.
-
-    Identity in inference mode and at rate 0, so no rescaling is ever needed
-    at prediction time.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
-    row = np.asarray(row, dtype=np.float64)
-    if not training or rate == 0.0:
-        return row
-    if rng is None:
-        raise ValueError("training-mode dropout needs an RNG")
-    keep = rng.random(row.shape) >= rate
-    return row * keep / (1.0 - rate)
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +379,6 @@ def _pack(mask: np.ndarray) -> Packing:
     slot_i, slot_t = np.nonzero(real)
     rows = np.stack([first + step, first + lengths[chunk] - 1 - step])
     return Packing(slot_i, slot_t, order, offsets, rows)
-
-
-def _recurrent_masks(plan: DropoutPlan | None, order: np.ndarray, h: int) -> np.ndarray | None:
-    """The plan's per-chunk recurrent masks as (2, B, H), in packed chunk order."""
-    if plan is None or (plan.rec_fwd is None and plan.rec_bwd is None):
-        return None
-    return np.stack([
-        np.ones((order.size, h)) if m is None else m[order] for m in (plan.rec_fwd, plan.rec_bwd)
-    ])
 
 
 def _bigru_forward(
@@ -508,12 +477,11 @@ def forward_batch(
     """
     pack = _pack(batch.mask)
     features, traces, char_index = _featurize_batch(model, batch, pack)
-    if plan is not None and plan.input_mask is not None:
+    inputs, rec = features, None
+    if plan is not None:
         inputs = features * plan.input_mask[pack.slot_i, pack.slot_t]
-    else:
-        inputs = features
+        rec = np.stack([plan.rec_fwd[pack.order], plan.rec_bwd[pack.order]])
     h = model.dims.hidden
-    rec = _recurrent_masks(plan, pack.order, h)
     gates, states = _bigru_forward(model, inputs, pack, rec)
     concat = np.zeros((batch.size, batch.mask.shape[1], 2 * h))
     for k, rows in enumerate(pack.rows):
@@ -549,23 +517,6 @@ def _chunk_losses(
     gold_p = np.maximum(gold_p, PROB_FLOOR)
     active = mask * (labels >= 0)
     return (-np.log(gold_p) * active).sum(axis=-1)
-
-
-def masked_cross_entropy(
-    dist: np.ndarray, gold: Sequence, mask: np.ndarray | None = None
-) -> float:
-    """Sum of -log P(gold tag) over real positions; pads contribute exactly 0."""
-    dist = np.asarray(dist, dtype=np.float64)
-    gold_idx = np.array(
-        [LABEL_TO_INDEX[g] if isinstance(g, str) else int(g) for g in gold],
-        dtype=np.int64,
-    )
-    if mask is None:
-        mask_f = np.ones(len(gold_idx))
-    else:
-        mask_f = np.asarray(mask, dtype=np.float64)
-    labels = np.where(mask_f > 0, gold_idx, -1)
-    return float(_chunk_losses(dist[None], labels[None], mask_f[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +636,7 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
     d_states = np.stack([d_real[pack.rows[0], :h_size], d_real[pack.rows[1], h_size:]])
     dx, gru_grads = _bigru_backward(model, cache, d_states)
     grads.update(gru_grads)
-    if cache.plan is not None and cache.plan.input_mask is not None:
+    if cache.plan is not None:
         dx *= cache.plan.input_mask[pack.slot_i, pack.slot_t]
 
     d_w = model.word_table.dim
@@ -947,7 +898,7 @@ def build_probe(
         char_widths=char_widths,
         hidden=hidden,
         window=window,
-        overlap=2,
+        overlap=ChunkConfig.overlap,
     )
     word_matrix = rng.normal(0.0, 0.4, size=(vocab.word_size, word_dim))
     word_matrix[0] = 0.0

@@ -2,13 +2,15 @@
 
 Training is single-writer over the parameters: batches are featurized and
 backpropagated against the current snapshot, then the optimizer step applies.
-A loaded model is immutable and safe for concurrent inference.
+A loaded model's arrays are read-only, so it is safe for concurrent inference;
+``clone()`` it to get a trainable copy.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import hashlib
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -63,6 +65,13 @@ class ArchiveChecksumError(ArchiveError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every training hyperparameter; the defaults are the published values.
+
+    Construction validates every field and raises ValueError naming the first
+    one out of range.  A NaN learning rate is let through on purpose: it is
+    caught by the numeric guards of ``train``.
+    """
+
     epochs: int = 15
     lr: float = 0.001
     clip_norm: float = 5.0
@@ -71,8 +80,8 @@ class TrainConfig:
     early_stop_patience: int = 3  # <= 0 disables early stopping
     seed: int = 42
     valid_fraction: float = 0.2
-    window: int = 19
-    overlap: int = 2
+    window: int = ChunkConfig.window
+    overlap: int = ChunkConfig.overlap
     pos_dim: int = 16
     char_dim: int = 24
     char_filters: int = 32
@@ -80,6 +89,29 @@ class TrainConfig:
     hidden: int = 128
     min_count: int = 1
     train_word_embeddings: bool = False
+
+    def __post_init__(self) -> None:
+        widths = tuple(self.char_widths)
+        rules = (
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("lr", not self.lr < 0, ">= 0"),
+            ("clip_norm", self.clip_norm > 0, "> 0"),
+            ("dropout", 0 <= self.dropout < 1, "in [0, 1)"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("valid_fraction", 0 < self.valid_fraction < 1, "in (0, 1)"),
+            ("pos_dim", self.pos_dim >= 1, ">= 1"),
+            ("char_dim", self.char_dim >= 1, ">= 1"),
+            ("char_filters", self.char_filters >= 1, ">= 1"),
+            ("char_widths", min(widths, default=0) >= 1 and len(set(widths)) == len(widths),
+             "distinct widths >= 1"),
+            ("hidden", self.hidden >= 1, ">= 1"),
+            ("min_count", self.min_count >= 1, ">= 1"),
+        )
+        for name, ok, requirement in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {requirement}, got {getattr(self, name)!r}")
+        ChunkConfig(window=self.window, overlap=self.overlap)  # raises on a bad pair
 
     @property
     def chunk_config(self) -> ChunkConfig:
@@ -387,8 +419,23 @@ def save_model(model: ModelParameters, vocab: Vocabulary, path: str) -> None:
     for _, arr in named_tensors(model):
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     blob += hashlib.sha256(bytes(blob)).digest()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    write_atomic(path, bytes(blob))
+
+
+def write_atomic(path: str, data: bytes | str) -> None:
+    """Write ``data`` (text as UTF-8) to ``path`` through a temp file in the
+    same directory, so a failed write leaves any previous file intact."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_model(path: str) -> tuple[ModelParameters, Vocabulary]:
@@ -460,6 +507,8 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary]:
         dense=DenseParams(w=tensors["dense.w"], b=tensors["dense.b"]),
         dims=dims,
     )
+    for arr in [model.gru_w, model.gru_u, model.gru_b] + [t for _, t in named_tensors(model)]:
+        arr.setflags(write=False)  # views need their own flag; clone() makes writable copies
     return model, vocab
 
 

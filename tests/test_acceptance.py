@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from clinspan.chunking import ChunkConfig, chunk_count, chunk_sentence, merge_chunk_predictions
-from clinspan.cli import RunConfig, main
+from clinspan.cli import build_parser, build_run_config, main
 from clinspan.corpus import LABELS, build_vocab, parse_corpus, stratified_split
 from clinspan.features import load_embeddings
 from clinspan.metrics import (
@@ -210,10 +210,10 @@ def test_criterion_6_hyperparameter_fidelity():
             "valid_fraction": 0.2,
         }
         train_config = TrainConfig()
-        run_config = RunConfig()
+        cli_config, _ = build_run_config(build_parser().parse_args(["train"]))
         for key, value in published.items():
             assert getattr(train_config, key) == value, key
-            assert getattr(run_config, key) == value, key
+            assert getattr(cli_config, key) == value, key
 
 
 def test_criterion_7_report_fidelity():

@@ -1,20 +1,39 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import re
 import struct
 
 import pytest
 
-from clinspan.cli import RunConfig, load_config_file, main
+from clinspan.cli import PATH_KEYS, build_parser, build_run_config, load_config_file, main
 from clinspan.corpus import parse_corpus
-from clinspan.tagger import load_model
+from clinspan.tagger import TrainConfig, load_model
 
 from conftest import DATA_DIR
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def assert_one_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def train_args(model_path, *flags):
+    return (
+        "train",
+        "--corpus", str(DATA_DIR / "overfit_corpus.txt"),
+        "--embeddings", str(DATA_DIR / "overfit_embeddings.txt"),
+        "--model", str(model_path),
+        "--epochs", "1", "--hidden", "4", "--char-filters", "2", "--pos-dim", "2",
+        "--char-dim", "2",
+        *flags,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +91,11 @@ class TestStats:
         assert run("stats", str(bad)) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--overlap", "0"], ["--window", "5", "--overlap", "7"]])
+    def test_bad_window_is_config_error(self, flags, capsys):
+        assert run("stats", str(DATA_DIR / "stats_corpus.txt"), *flags) == 1
+        assert_one_line(capsys, "clinspan: config error:")
+
 
 class TestTrainCommand:
     def test_writes_model_and_history(self, trained, capsys):
@@ -119,6 +143,29 @@ class TestTrainCommand:
         assert err.startswith("clinspan: numeric failure:") and err.count("\n") == 1
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--batch-size", "0"], ["--dropout", "1.0"], ["--dropout", "-0.5"], ["--hidden", "0"],
+        ["--pos-dim", "0"], ["--char-filters", "0"], ["--char-widths", "3,-1"],
+        ["--char-widths", "0"], ["--char-widths", "3,3"], ["--seed", "-1"],
+        ["--valid-fraction", "0"], ["--min-count", "0"], ["--window", "5", "--overlap", "7"],
+        ["--lr", "-1"], ["--clip-norm", "0"],
+    ])
+    def test_invalid_value_is_config_error(self, flags, tmp_path, capsys):
+        model_path = tmp_path / "m.bin"
+        assert run(*train_args(model_path, *flags)) == 1
+        assert_one_line(capsys, "clinspan: config error:")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["--model", "--history"])
+    def test_missing_output_directory_fails_before_reading_corpus(self, target, tmp_path, capsys):
+        bad_corpus = tmp_path / "bad.txt"
+        bad_corpus.write_text("broken NOUN Q\n")  # a data error (exit 2) if it were parsed
+        args = list(train_args(tmp_path / "m.bin", target, str(tmp_path / "nodir" / "out")))
+        args[args.index("--corpus") + 1] = str(bad_corpus)
+        assert run(*args) == 1
+        assert_one_line(capsys, "clinspan: config error: cannot write")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
+
     def test_missing_required_paths(self, capsys):
         assert run("train", "--epochs", "1") == 1
         assert "requires" in capsys.readouterr().err
@@ -146,6 +193,14 @@ class TestTrainCommand:
         config = tmp_path / "bad.cfg"
         config.write_text("epochs=soon\n")
         assert run("train", "--config", str(config)) == 1
+
+    @pytest.mark.parametrize("line", ["output=x.txt", "spans_out=s.txt", "dropout=1.5"])
+    def test_config_file_outside_train_config_rejected(self, line, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        assert run(*train_args(tmp_path / "m.bin", "--config", str(config))) == 1
+        assert_one_line(capsys, "clinspan: config error:")
+        assert not (tmp_path / "m.bin").exists()
 
 
 class TestTagCommand:
@@ -195,6 +250,22 @@ class TestTagCommand:
         assert run("tag", "--model", str(trained), "--input", str(empty),
                    "--output", str(out)) == 0
         assert out.read_text() == ""
+
+    def test_missing_model_is_config_error(self, tmp_path, capsys):
+        assert run("tag", "--model", str(tmp_path / "missing.bin"),
+                   "--input", str(DATA_DIR / "stats_corpus.txt"),
+                   "--output", str(tmp_path / "x.txt")) == 1
+        assert_one_line(capsys, "clinspan: config error: cannot read model")
+
+    @pytest.mark.parametrize("target", ["--output", "--spans-out"])
+    def test_missing_output_directory_is_config_error(self, target, trained, tmp_path, capsys):
+        paths = {"--output": str(tmp_path / "x.txt"), "--spans-out": str(tmp_path / "s.txt")}
+        paths[target] = str(tmp_path / "nodir" / "out.txt")
+        assert run("tag", "--model", str(trained),
+                   "--input", str(DATA_DIR / "stats_corpus.txt"),
+                   *[a for pair in paths.items() for a in pair]) == 1
+        assert_one_line(capsys, "clinspan: config error: cannot write")
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_archive_rejected(self, trained, tmp_path, capsys):
         broken = tmp_path / "broken.bin"
@@ -335,14 +406,25 @@ class TestParserBehavior:
         assert main(["stats", "x.txt", "--window", "many"]) == 1
 
     def test_defaults_match_published_values(self):
-        config = RunConfig()
-        assert config.window == 19
-        assert config.overlap == 2
-        assert config.lr == 0.001
-        assert config.clip_norm == 5.0
-        assert config.dropout == 0.5
-        assert config.epochs == 15
-        assert config.valid_fraction == 0.2
+        from_cli, paths = build_run_config(build_parser().parse_args(["train"]))
+        assert paths == dict.fromkeys(PATH_KEYS)
+        for config in (TrainConfig(), from_cli):
+            assert config.window == 19
+            assert config.overlap == 2
+            assert config.lr == 0.001
+            assert config.clip_norm == 5.0
+            assert config.dropout == 0.5
+            assert config.epochs == 15
+            assert config.valid_fraction == 0.2
+        assert from_cli == TrainConfig()
+
+    def test_train_flags_are_config_fields_plus_paths(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        offered = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        names = [f.name for f in dataclasses.fields(TrainConfig)] + list(PATH_KEYS)
+        expected = {"--" + n.replace("_", "-") for n in names} | {"--help", "--config"}
+        assert offered == expected
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "c.cfg"

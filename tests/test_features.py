@@ -11,9 +11,16 @@ from clinspan.features import (
     CharCnnParams,
     EmbeddingTable,
     PosEmbedding,
-    char_cnn_forward,
-    featurize_chunk,
+    char_cnn_trace,
     load_embeddings,
+)
+from clinspan.neural import (
+    DenseParams,
+    GruDirectionParams,
+    ModelDims,
+    ModelParameters,
+    batch_chunks,
+    forward_batch,
 )
 
 from conftest import make_corpus, make_sentence, parse_text
@@ -73,6 +80,10 @@ def _single_filter_params(filter_values, bias, char_table):
     )
 
 
+def char_cnn_vector(chars, params):
+    return char_cnn_trace(np.asarray(chars, dtype=np.int64), params)[0]
+
+
 class TestCharCnn:
     def test_zero_parameters_give_zero_vector(self):
         params = CharCnnParams(
@@ -81,7 +92,7 @@ class TestCharCnn:
             filters=[np.zeros((5, 3, 4))],
             biases=[np.zeros(5)],
         )
-        out = char_cnn_forward(np.array([2, 3, 4, 5]), params)
+        out = char_cnn_vector(np.array([2, 3, 4, 5]), params)
         np.testing.assert_array_equal(out, np.zeros(5))
 
     def test_single_window_hand_computed(self):
@@ -95,7 +106,7 @@ class TestCharCnn:
             expected += filt[j][0] * char_row[0] + filt[j][1] * char_row[1]
         expected = max(expected, 0.0)
         params = _single_filter_params(filt, bias, char_table)
-        out = char_cnn_forward(np.array([2, 3, 4]), params)
+        out = char_cnn_vector(np.array([2, 3, 4]), params)
         assert out.shape == (1,)
         assert out[0] == pytest.approx(expected, abs=1e-12)
 
@@ -107,8 +118,8 @@ class TestCharCnn:
             filters=[rng.normal(size=(4, 3, 3))],
             biases=[rng.normal(size=4)],
         )
-        bare = char_cnn_forward(np.array([2, 3, 4]), params)
-        padded = char_cnn_forward(np.array([2, 3, 4, 0, 0, 0]), params)
+        bare = char_cnn_vector(np.array([2, 3, 4]), params)
+        padded = char_cnn_vector(np.array([2, 3, 4, 0, 0, 0]), params)
         np.testing.assert_array_equal(bare, padded)
 
     def test_short_token_left_padded(self):
@@ -117,7 +128,7 @@ class TestCharCnn:
         char_table = [[0, 0], [0, 0], [2.0, -1.0]]
         filt = [[5.0, 5.0], [7.0, 7.0], [0.5, 1.0]]
         params = _single_filter_params(filt, 0.0, char_table)
-        out = char_cnn_forward(np.array([2]), params)
+        out = char_cnn_vector(np.array([2]), params)
         assert out[0] == pytest.approx(0.5 * 2.0 + 1.0 * -1.0, abs=1e-12)
 
     def test_unknown_char_index_maps_to_unk(self):
@@ -128,14 +139,9 @@ class TestCharCnn:
             filters=[rng.normal(size=(3, 2, 2))],
             biases=[np.zeros(3)],
         )
-        out_oob = char_cnn_forward(np.array([2, 99]), params)
-        out_unk = char_cnn_forward(np.array([2, 1]), params)
+        out_oob = char_cnn_vector(np.array([2, 99]), params)
+        out_unk = char_cnn_vector(np.array([2, 1]), params)
         np.testing.assert_array_equal(out_oob, out_unk)
-
-    def test_empty_sequence_rejected(self):
-        params = _single_filter_params(np.zeros((3, 2)), 0.0, np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            char_cnn_forward(np.array([], dtype=np.int64), params)
 
     def test_char_relabeling_invariance(self):
         # Permuting character identities (table rows + indices together) must
@@ -149,7 +155,7 @@ class TestCharCnn:
             biases=[rng.normal(size=4)],
         )
         chars = np.array([2, 4, 6, 3])
-        base = char_cnn_forward(chars, params)
+        base = char_cnn_vector(chars, params)
         perm = np.array([0, 1, 4, 6, 2, 5, 3])  # reserved rows stay put
         permuted_table = np.zeros_like(table)
         permuted_table[perm] = table
@@ -160,7 +166,7 @@ class TestCharCnn:
             biases=params.biases,
         )
         np.testing.assert_allclose(
-            char_cnn_forward(perm[chars], params_perm), base, atol=1e-14
+            char_cnn_vector(perm[chars], params_perm), base, atol=1e-14
         )
 
     def test_embedding_dim_permutation_covariance(self):
@@ -171,15 +177,35 @@ class TestCharCnn:
         filters = rng.normal(size=(2, 3, 4))
         params = CharCnnParams(table, (3,), [filters], [rng.normal(size=2)])
         chars = np.array([2, 3, 4, 5, 6])
-        base = char_cnn_forward(chars, params)
+        base = char_cnn_vector(chars, params)
         perm = np.array([2, 0, 3, 1])
         params_perm = CharCnnParams(
             table[:, perm], (3,), [filters[:, :, perm]], params.biases
         )
-        np.testing.assert_allclose(char_cnn_forward(chars, params_perm), base, atol=1e-14)
+        np.testing.assert_allclose(char_cnn_vector(chars, params_perm), base, atol=1e-14)
+
+
+def _model(word, pos, char, window, hidden=3, seed=0):
+    """A model over the given tables with random GRU and dense weights."""
+    rng = np.random.default_rng(seed)
+    d = word.dim + pos.dim + char.output_dim
+    gru = lambda: GruDirectionParams(
+        *(rng.normal(size=(hidden, d)) for _ in range(3)),
+        *(rng.normal(size=(hidden, hidden)) for _ in range(3)),
+        *(rng.normal(size=hidden) for _ in range(3)),
+    )
+    dims = ModelDims(
+        word_dim=word.dim, pos_dim=pos.dim, char_dim=char.char_dim,
+        char_filters=char.n_filters, char_widths=char.widths, hidden=hidden,
+        window=window, overlap=1,
+    )
+    dense = DenseParams(rng.normal(size=(3, 2 * hidden)), rng.normal(size=3))
+    return ModelParameters(word, pos, char, gru(), gru(), dense, dims)
 
 
 class TestFeaturizeChunk:
+    """The feature rows forward_batch builds for the real slots of a batch."""
+
     def _setup(self):
         sentence = make_sentence([("ab", "O"), ("ba", "B")], pos="NOUN")
         vocab = build_vocab(make_corpus([sentence]))
@@ -201,24 +227,27 @@ class TestFeaturizeChunk:
     def test_rows_are_concatenation(self):
         sentence, vocab, word, pos, char = self._setup()
         (chunk,) = chunk_sentence(sentence, vocab, ChunkConfig(window=4, overlap=1))
-        fm = featurize_chunk(chunk, word, pos, char)
-        assert fm.rows.shape == (4, 4 + 3 + 5)
+        rows = forward_batch(_model(word, pos, char, 4), batch_chunks([chunk])).inputs
+        assert rows.shape == (2, 4 + 3 + 5)
         for t in range(2):
             np.testing.assert_array_equal(
-                fm.rows[t, :4], word.matrix[chunk.word_ids[t]]
+                rows[t, :4], word.matrix[chunk.word_ids[t]]
             )
             np.testing.assert_array_equal(
-                fm.rows[t, 4:7], pos.matrix[chunk.pos_ids[t]]
+                rows[t, 4:7], pos.matrix[chunk.pos_ids[t]]
             )
             np.testing.assert_array_equal(
-                fm.rows[t, 7:], char_cnn_forward(chunk.char_ids[t], char)
+                rows[t, 7:], char_cnn_vector(chunk.char_ids[t], char)
             )
 
     def test_pad_rows_all_zero(self):
+        # Pad slots are never featurized, and their GRU outputs are zero.
         sentence, vocab, word, pos, char = self._setup()
         (chunk,) = chunk_sentence(sentence, vocab, ChunkConfig(window=6, overlap=1))
-        fm = featurize_chunk(chunk, word, pos, char)
-        np.testing.assert_array_equal(fm.rows[2:], np.zeros((4, 12)))
+        cache = forward_batch(_model(word, pos, char, 6), batch_chunks([chunk]))
+        assert cache.inputs.shape[0] == 2
+        np.testing.assert_array_equal(cache.concat[0, 2:], np.zeros((4, 6)))
+        assert (cache.concat[0, :2] != 0).all()
 
     def test_dimension_arithmetic(self):
         # D_w=8, D_p=16, char 32 filters x 1 width -> 56 columns.
@@ -232,5 +261,6 @@ class TestFeaturizeChunk:
             [np.zeros(32)],
         )
         (chunk,) = chunk_sentence(sentence, vocab, ChunkConfig())
-        fm = featurize_chunk(chunk, word, pos, char)
-        assert fm.rows.shape[1] == 8 + 16 + 32
+        model = _model(word, pos, char, ChunkConfig().window)
+        assert model.dims.feature_dim == 8 + 16 + 32
+        assert forward_batch(model, batch_chunks([chunk])).inputs.shape[1] == 8 + 16 + 32

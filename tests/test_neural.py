@@ -17,7 +17,6 @@ from clinspan.neural import (
     GruDirectionParams,
     NumericError,
     adam_step,
-    apply_dropout,
     backward,
     backward_from_cache,
     batch_chunks,
@@ -28,12 +27,12 @@ from clinspan.neural import (
     forward_batch,
     global_grad_norm,
     make_dropout_plan,
-    masked_cross_entropy,
     named_tensors,
     softmax,
     trainable_tensor_names,
 )
-from clinspan.neural import _sigmoid
+from clinspan.neural import _chunk_losses, _sigmoid
+from clinspan.tagger import TrainConfig
 
 
 def gru_cell_forward(x, h_prev, p):
@@ -184,32 +183,40 @@ class TestDenseSoftmax:
         assert (out >= 0).all() and (out <= 1).all()
 
 
+def _chunk_loss(dist, gold, mask=None):
+    """The summed loss of one chunk; gold is tag indices (B=0, I=1, O=2)."""
+    mask = np.ones(len(gold)) if mask is None else np.asarray(mask, dtype=np.float64)
+    labels = np.asarray(gold, dtype=np.int64)
+    return float(_chunk_losses(np.asarray(dist)[None], labels[None], mask[None])[0])
+
+
 class TestMaskedCrossEntropy:
     def test_perfect_predictions_zero_loss(self):
         dist = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert masked_cross_entropy(dist, ["B", "I"]) == pytest.approx(0.0, abs=1e-9)
+        assert _chunk_loss(dist, [0, 1]) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_four_tokens(self):
         dist = np.full((4, 3), 1 / 3)
-        loss = masked_cross_entropy(dist, ["B", "I", "O", "B"])
+        loss = _chunk_loss(dist, [0, 1, 2, 0])
         assert loss == pytest.approx(4 * math.log(3), abs=1e-12)
 
     def test_pads_contribute_zero(self):
         dist = np.full((4, 3), 1 / 3)
         mask = np.array([1.0, 1.0, 0.0, 0.0])
-        loss = masked_cross_entropy(dist, ["B", "I", "O", "O"], mask)
-        assert loss == pytest.approx(2 * math.log(3), abs=1e-12)
+        assert _chunk_loss(dist, [0, 1, 2, 2], mask) == pytest.approx(2 * math.log(3), abs=1e-12)
+        # A -1 label (a pad or an unlabeled slot) contributes nothing either.
+        assert _chunk_loss(dist, [0, 1, -1, -1]) == pytest.approx(2 * math.log(3), abs=1e-12)
 
     def test_nonnegative_on_random_distributions(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             dist = softmax(rng.normal(size=(6, 3)))
             gold = rng.integers(0, 3, size=6)
-            assert masked_cross_entropy(dist, gold) >= 0.0
+            assert _chunk_loss(dist, gold) >= 0.0
 
     def test_floor_prevents_infinite_loss(self):
         dist = np.array([[0.0, 1.0, 0.0]])
-        loss = masked_cross_entropy(dist, ["B"])
+        loss = _chunk_loss(dist, [0])
         assert np.isfinite(loss)
         assert loss == pytest.approx(-math.log(1e-12), rel=1e-9)
 
@@ -424,35 +431,43 @@ class TestAdam:
 
 class TestDropout:
     def test_inference_mode_identity(self):
-        rng = np.random.default_rng(11)
-        row = rng.normal(size=32)
+        # Without a plan the GRU reads the feature rows unscaled.
+        model, chunk = build_probe(seed=11)
+        cache = forward_batch(model, batch_chunks([chunk]))
+        t = chunk.real_count - 1
         np.testing.assert_array_equal(
-            apply_dropout(row, rate=0.5, rng=rng, training=False), row
+            cache.inputs[t, : model.dims.word_dim], model.word_table.matrix[chunk.word_ids[t]]
         )
+        assert cache.rec is None
 
     def test_rate_zero_identity(self):
-        rng = np.random.default_rng(12)
-        row = rng.normal(size=8)
-        np.testing.assert_array_equal(apply_dropout(row, 0.0, rng, training=True), row)
+        model, chunk = build_probe(seed=12)
+        batch = batch_chunks([chunk])
+        plan = make_dropout_plan(np.random.default_rng(12), 0.0, 1, chunk.window,
+                                 model.dims.feature_dim, model.dims.hidden)
+        np.testing.assert_array_equal(
+            forward_batch(model, batch, plan).probs, forward_batch(model, batch).probs
+        )
 
     def test_values_are_zero_or_scaled(self):
-        rng = np.random.default_rng(13)
-        out = apply_dropout(np.ones(1000), 0.5, rng, training=True)
-        assert set(np.unique(out)) <= {0.0, 2.0}
+        plan = make_dropout_plan(np.random.default_rng(13), 0.5, 4, 5, 50, 10)
+        for mask in (plan.input_mask, plan.rec_fwd, plan.rec_bwd):
+            assert set(np.unique(mask)) <= {0.0, 2.0}
+        plan = make_dropout_plan(np.random.default_rng(13), 0.2, 4, 5, 50, 10)
+        assert set(np.unique(plan.input_mask)) <= {0.0, 1.0 / (1.0 - 0.2)}
 
     def test_monte_carlo_expectation(self):
         # Each surviving coordinate is 2 w.p. 1/2: mean 1, variance 1.  Over
         # 10,000 trials the per-coordinate mean lands within 3 sigma of 1.
-        rng = np.random.default_rng(14)
-        trials = np.stack(
-            [apply_dropout(np.ones(8), 0.5, rng, training=True) for _ in range(10_000)]
-        )
-        means = trials.mean(axis=0)
-        assert (np.abs(means - 1.0) <= 3.0 / np.sqrt(10_000)).all()
+        plan = make_dropout_plan(np.random.default_rng(14), 0.5, 10_000, 1, 8, 8)
+        for trials in (plan.input_mask[:, 0], plan.rec_fwd, plan.rec_bwd):
+            means = trials.mean(axis=0)
+            assert (np.abs(means - 1.0) <= 3.0 / np.sqrt(10_000)).all()
 
     def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            apply_dropout(np.ones(3), 1.0, np.random.default_rng(0), True)
+        for rate in (1.0, -0.5):
+            with pytest.raises(ValueError, match="dropout"):
+                TrainConfig(dropout=rate)
 
     def test_recurrent_masks_reused_across_timesteps(self):
         plan = make_dropout_plan(np.random.default_rng(15), 0.5, 2, 7, 4, 8)

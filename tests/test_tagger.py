@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import builtins
+import math
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,15 @@ from clinspan.chunking import ChunkConfig, chunk_sentence
 from clinspan.corpus import build_vocab, count_spans, stratified_split
 from clinspan.features import EmbeddingTable
 from clinspan.metrics import prf, span_match_counts
-from clinspan.neural import NumericError, batch_chunks, build_probe, forward_batch, named_tensors
+from clinspan.neural import (
+    AdamState,
+    NumericError,
+    adam_step,
+    batch_chunks,
+    build_probe,
+    forward_batch,
+    named_tensors,
+)
 from clinspan.tagger import (
     ArchiveChecksumError,
     ArchiveError,
@@ -27,6 +39,7 @@ from clinspan.tagger import (
     save_model,
     spans_to_iob,
     train,
+    write_atomic,
 )
 
 from conftest import make_corpus, make_sentence, parse_text
@@ -322,6 +335,27 @@ class TestTrain:
         assert history.epochs[history.best_epoch - 1].valid_loss == min(losses)
 
 
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("lr", -1.0), ("lr", -math.inf), ("clip_norm", 0.0),
+        ("clip_norm", math.nan), ("dropout", 1.0), ("dropout", -0.5), ("batch_size", 0),
+        ("seed", -1), ("valid_fraction", 0.0), ("valid_fraction", 1.0), ("pos_dim", 0),
+        ("char_dim", 0), ("char_filters", 0), ("char_widths", ()), ("char_widths", (0,)),
+        ("char_widths", (3, -1)), ("char_widths", (3, 3)), ("hidden", 0), ("min_count", 0),
+        ("overlap", 0), ("overlap", 19), ("window", 2),
+    ])
+    def test_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("lr", 0.0), ("lr", math.nan), ("dropout", 0.0),
+        ("early_stop_patience", 0), ("early_stop_patience", -1), ("char_widths", (2, 3, 5)),
+    ])
+    def test_boundary_values_accepted(self, field, value):
+        TrainConfig(**{field: value})
+
+
 class TestDivergence:
     def test_no_finite_validation_loss_raises(self):
         corpus, vocab, emb = _training_setup()
@@ -389,11 +423,84 @@ class TestPersistence:
         with pytest.raises(ArchiveChecksumError):
             load_model(str(corrupt))
 
+    def test_loaded_model_is_read_only(self, tmp_path):
+        _, _, _, path = self._trained_pair(tmp_path)
+        loaded, _ = load_model(str(path))
+        arrays = [t for _, t in named_tensors(loaded)] + [loaded.gru_w, loaded.gru_u, loaded.gru_b]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.gru_fwd.u_z[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.gru_u[0, 0, 0] = 1.0
+        grads = {n: np.ones_like(t) for n, t in named_tensors(loaded) if n != "word_table"}
+        with pytest.raises(ValueError, match="read-only"):
+            adam_step(loaded, grads, AdamState.for_model(loaded))
+
+    def test_clone_of_loaded_model_trains(self, tmp_path):
+        _, _, _, path = self._trained_pair(tmp_path)
+        loaded, _ = load_model(str(path))
+        copy = loaded.clone()
+        assert all(t.flags.writeable for _, t in named_tensors(copy))
+        grads = {n: np.ones_like(t) for n, t in named_tensors(copy) if n != "word_table"}
+        adam_step(copy, grads, AdamState.for_model(copy), lr=0.1)
+        assert not np.array_equal(copy.gru_fwd.u_z, loaded.gru_fwd.u_z)
+        np.testing.assert_array_equal(copy.gru_u[0, :6], copy.gru_fwd.u_z)
+
     def test_bad_magic_rejected(self, tmp_path):
         junk = tmp_path / "junk.bin"
         junk.write_bytes(b"NOTAMODEL" + b"\x00" * 64)
         with pytest.raises(ArchiveError):
             load_model(str(junk))
+
+
+class TestWriteAtomic:
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        target.write_text("previous\n")
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        real_open = builtins.open
+        monkeypatch.setattr(tagger, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write_atomic(str(target), "replacement text\n")
+        assert target.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_failed_rename_keeps_previous_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "model.bin"
+        target.write_bytes(b"old archive")
+
+        def refuse(src, dst):
+            raise OSError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        corpus, vocab, emb = _training_setup()
+        model, _ = train(corpus, emb, _small_config(epochs=0), vocab=vocab)
+        with pytest.raises(OSError, match="Permission denied"):
+            save_model(model, vocab, str(target))
+        assert target.read_bytes() == b"old archive"
+        assert os.listdir(tmp_path) == ["model.bin"]
+
+    def test_replaces_existing_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("previous\n")
+        write_atomic(str(target), "new\n")
+        assert target.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
 
 
 class TestHistoryFormat:
