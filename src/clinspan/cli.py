@@ -237,6 +237,10 @@ def _eval_corpus_mode(gold_path: str, system_path: str) -> metrics.EvalResult:
                 f"token count mismatch at sentence {i}: gold has {len(g)} "
                 f"tokens, system has {len(s)}"
             )
+        for t, (gt, st) in enumerate(zip(g.tokens, s.tokens)):
+            if gt.surface != st.surface:
+                raise DataError(f"token mismatch at sentence {i}, token {t}: gold has "
+                                f"{gt.surface!r}, system has {st.surface!r}")
     gold_tag_seqs = [g.labels() for g in gold.sentences]
     system_tag_seqs = [s.labels() for s in system.sentences]
     gold_span_lists = [
@@ -293,13 +297,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     model, chunk = build_probe(seed=args.seed, trainable_words=args.train_words)
-    report = finite_difference_check(
-        model,
-        chunk,
-        step=args.step,
-        tolerance=args.tolerance,
-        corrupt_tensor=args.inject_bug,
-    )
+    try:
+        report = finite_difference_check(
+            model, chunk, step=args.step, tolerance=args.tolerance, corrupt_tensor=args.inject_bug
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     print(report.format())
     return 0 if report.ok else 3
 

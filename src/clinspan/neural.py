@@ -24,6 +24,15 @@ is linear in its output gradient.  Only real slots are featurized: the real
 slots of a chunk must be a prefix of its window, and feature rows hold them
 in row-major order.
 
+Only a model from ``load_model`` has a ``char_memo`` (char-id bytes -> the
+char-CNN vector's float64 bytes).  It is filled lazily with the sequences
+of in-vocabulary slots (word id > UNK), at most one per word-table row; OOV
+sequences are never stored.  A hit skips the CNN and leaves a ``None``
+trace that backward recomputes.  If a char tensor is writeable at the start
+of a forward, the memo is dropped for good, so it never serves a stale row.
+Concurrent forwards may share it: inserts are idempotent and a dict store
+is atomic under the GIL.
+
 The GRU weights are stored once, in the layout the loop computes with:
 W (2, 3H, D), U (2, 3H, H) and b (2, 3H), direction first (forward,
 backward), gate blocks z | r | h.  The per-gate tensors (``gru_fwd.w_z``
@@ -55,7 +64,7 @@ from typing import Sequence
 import numpy as np
 
 from .chunking import ChunkConfig, PaddedChunk
-from .corpus import LABEL_TO_INDEX, Vocabulary
+from .corpus import LABEL_TO_INDEX, UNK_INDEX, Vocabulary
 from .features import (
     CharCnnParams,
     CharTrace,
@@ -136,6 +145,8 @@ class ModelParameters:
     gru_w: np.ndarray = field(init=False, repr=False, compare=False)
     gru_u: np.ndarray = field(init=False, repr=False, compare=False)
     gru_b: np.ndarray = field(init=False, repr=False, compare=False)
+    # char-id bytes -> char-CNN vector bytes; only load_model sets one (see the module docstring)
+    char_memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.gru_w, self.gru_u, self.gru_b = (
@@ -419,7 +430,7 @@ class ForwardCache:
     batch: ChunkBatch
     pack: Packing
     inputs: np.ndarray  # (R, D) feature rows after input dropout
-    char_traces: list[CharTrace]  # one per distinct char sequence in the batch
+    char_traces: list[CharTrace | None]  # per distinct char sequence; None if memoized
     char_index: np.ndarray  # per feature row, its entry in char_traces
     gates: np.ndarray  # (2, R, 3H) by packed row: z | r | candidate
     states: np.ndarray  # (2, R, H) by packed row
@@ -436,29 +447,49 @@ class ForwardCache:
 
 def _featurize_batch(
     model: ModelParameters, batch: ChunkBatch, pack: Packing
-) -> tuple[np.ndarray, list[CharTrace], np.ndarray]:
+) -> tuple[np.ndarray, list[CharTrace | None], np.ndarray]:
     """Feature rows of the real slots, plus the char-CNN traces and the row
     index into them.
 
     The char CNN runs once per distinct char-id sequence among the real
     slots; each feature row gathers its vector through the returned index.
+    A sequence found in the model's ``char_memo`` is not computed and its
+    trace is ``None``.
     """
+    char = model.char_params
+    memo = model.char_memo
+    n_words = model.word_table.matrix.shape[0]
+    if memo is not None and any(
+        a.flags.writeable for a in (char.char_table, *char.filters, *char.biases)
+    ):
+        memo = model.char_memo = None  # a writable model could go stale: never memoize again
     d_w = model.word_table.dim
     d_p = model.pos_table.dim
+    word_ids = batch.word_ids[pack.slot_i, pack.slot_t]
     rows = np.empty((pack.slot_i.size, model.dims.feature_dim))
-    rows[:, :d_w] = model.word_table.matrix[batch.word_ids[pack.slot_i, pack.slot_t]]
+    rows[:, :d_w] = model.word_table.matrix[word_ids]
     rows[:, d_w : d_w + d_p] = model.pos_table.matrix[batch.pos_ids[pack.slot_i, pack.slot_t]]
     seen: dict[bytes, int] = {}
-    traces: list[CharTrace] = []
+    traces: list[CharTrace | None] = []
     vectors: list[np.ndarray] = []
     index = np.empty(pack.slot_i.size, dtype=np.intp)
-    for k, (i, t) in enumerate(zip(pack.slot_i.tolist(), pack.slot_t.tolist())):
+    slots = zip(pack.slot_i.tolist(), pack.slot_t.tolist(), word_ids.tolist())
+    for k, (i, t, word) in enumerate(slots):
         chars = np.asarray(batch.chars[i][t], dtype=np.int64)
         key = chars.tobytes()
         j = seen.get(key)
         if j is None:
             j = seen[key] = len(traces)
-            vec, trace = char_cnn_trace(chars, model.char_params)
+            hit = memo.get(key) if memo is not None else None
+            if hit is not None:
+                vec, trace = np.frombuffer(hit), None
+            else:
+                vec, trace = char_cnn_trace(chars, char)
+                # Vocabulary words only: the memo stays bounded and holds no OOV.
+                # Stored as bytes: thousands of small long-lived numpy buffers
+                # fragment the malloc heap and raised peak RSS by up to 3.5 MB.
+                if memo is not None and word > UNK_INDEX and len(memo) < n_words:
+                    memo[key] = vec.tobytes()
             vectors.append(vec)
             traces.append(trace)
         index[k] = j
@@ -653,10 +684,16 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
 
     # The char CNN's backward is linear in d(output), so slots that share a
     # char sequence (and so a trace) can sum their gradients first.
+    # Sequences the memo served have no trace: recompute it from their first slot.
     char = model.char_params
-    d_chars = np.zeros((len(cache.char_traces), char.output_dim))
+    first = np.unique(cache.char_index, return_index=True)[1]
+    traces = [
+        trace or char_cnn_trace(np.asarray(batch.chars[i][t], dtype=np.int64), char)[1]
+        for trace, i, t in zip(cache.char_traces, pack.slot_i[first], pack.slot_t[first])
+    ]
+    d_chars = np.zeros((len(traces), char.output_dim))
     np.add.at(d_chars, cache.char_index, dx[:, d_w + d_p :])
-    g_char_table, g_filters, g_biases = _char_cnn_backward(char, cache.char_traces, d_chars)
+    g_char_table, g_filters, g_biases = _char_cnn_backward(char, traces, d_chars)
     grads["char_table"] = g_char_table
     for width, gf, gb in zip(char.widths, g_filters, g_biases):
         grads[f"char_filters_w{width}"] = gf
@@ -819,7 +856,11 @@ def finite_difference_check(
     (all of them for small tensors) with deterministic per-tensor sampling;
     frozen tensors are reported as skipped.  ``corrupt_tensor`` rolls that
     tensor's analytic gradient by one position (a test-only fault injection).
+    Raises ValueError unless ``step`` and ``tolerance`` are finite and > 0.
     """
+    for name, value in (("step", step), ("tolerance", tolerance)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"gradcheck {name} must be finite and > 0, got {value!r}")
     batch = batch_chunks([chunk])
     batch.labels = _labels_for(chunk, gold)[None, :]
 
@@ -859,6 +900,8 @@ def finite_difference_check(
             numeric = (up - down) / (2.0 * step)
             a = float(analytic[name].flat[flat])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            if np.isnan(rel):  # a NaN difference is a failure, never a pass
+                rel = np.inf
             if rel > check.max_rel_error:
                 check.max_rel_error = rel
                 check.worst_coord = tuple(int(i) for i in np.unravel_index(flat, arr.shape))

@@ -509,6 +509,7 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary]:
     )
     for arr in [model.gru_w, model.gru_u, model.gru_b] + [t for _, t in named_tensors(model)]:
         arr.setflags(write=False)  # views need their own flag; clone() makes writable copies
+    model.char_memo = {}  # safe only because the char tensors are now read-only
     return model, vocab
 
 

@@ -363,6 +363,16 @@ class TestEvalCommand:
         assert run("eval", "--gold", str(gold), "--system", str(system)) == 2
         assert "sentence 0" in capsys.readouterr().err
 
+    def test_token_surface_mismatch_rejected(self, tmp_path, capsys):
+        gold = tmp_path / "gold.txt"
+        gold.write_text("fever N B\nnow N O\n")
+        system = tmp_path / "system.txt"
+        system.write_text("cough N B\nlater N O\n")
+        assert run("eval", "--gold", str(gold), "--system", str(system)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "sentence 0, token 0" in err and "'fever'" in err and "'cough'" in err
+
     def test_span_list_format(self, tmp_path, capsys):
         gold = tmp_path / "gold.spans"
         gold.write_text("0 0 0 4\n0 1 2 5\n")
@@ -389,6 +399,16 @@ class TestGradcheckCommand:
     def test_trainable_word_table_checked(self, capsys):
         assert run("gradcheck", "--train-words", "true") == 0
         assert "SKIP" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ("--step", "0"),
+        ("--step", "nan"),
+        ("--tolerance", "nan", "--inject-bug", "dense.w"),
+    ])
+    def test_bad_step_or_tolerance_is_a_config_error(self, flags, capsys):
+        assert run("gradcheck", *flags) == 1
+        assert_one_line(capsys, "clinspan: config error: gradcheck")
+        assert capsys.readouterr().out == ""
 
 
 class TestParserBehavior:

@@ -327,6 +327,34 @@ class TestBackward:
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
             finite_difference_check(model, chunk)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"step": 0.0}, {"step": -1e-5}, {"step": float("nan")}, {"step": float("inf")},
+        {"tolerance": 0.0}, {"tolerance": float("nan")}, {"tolerance": float("inf")},
+    ])
+    def test_bad_step_or_tolerance_rejected(self, kwargs):
+        model, chunk = build_probe(seed=0)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            finite_difference_check(model, chunk, **kwargs)
+
+    def test_nan_numeric_gradient_fails(self, monkeypatch):
+        # Only the base and analytic forwards are finite: every perturbed
+        # loss is NaN, so every checked tensor must fail rather than pass.
+        model, chunk = build_probe(seed=0)
+        original = neural.forward_batch
+        calls = []
+
+        def nan_after_two(model, batch, plan=None):
+            cache = original(model, batch, plan)
+            calls.append(None)
+            if len(calls) > 2:
+                cache.chunk_losses = np.full_like(cache.chunk_losses, np.nan)
+            return cache
+
+        monkeypatch.setattr(neural, "forward_batch", nan_after_two)
+        report = finite_difference_check(model, chunk)
+        assert not report.ok
+        assert all(c.status in ("failed", "skipped") for c in report.checks)
+
 
 class TestClipGradients:
     def _grads(self, values):

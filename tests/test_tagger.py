@@ -1,23 +1,28 @@
 from __future__ import annotations
 
 import builtins
+import dataclasses
 import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clinspan import tagger
+from clinspan import neural, tagger
 from clinspan.chunking import ChunkConfig, chunk_sentence
-from clinspan.corpus import build_vocab, count_spans, stratified_split
+from clinspan.corpus import UNK_INDEX, build_vocab, count_spans, stratified_split
 from clinspan.features import EmbeddingTable
 from clinspan.metrics import prf, span_match_counts
 from clinspan.neural import (
     AdamState,
     NumericError,
     adam_step,
+    backward,
+    backward_from_cache,
     batch_chunks,
     build_probe,
     forward_batch,
@@ -451,6 +456,157 @@ class TestPersistence:
         junk.write_bytes(b"NOTAMODEL" + b"\x00" * 64)
         with pytest.raises(ArchiveError):
             load_model(str(junk))
+
+
+class TestCharMemo:
+    """A loaded model memoizes the char-CNN vectors of vocabulary surfaces;
+    its clone() has no memo and is the reference."""
+
+    def _loaded(self, tmp_path):
+        corpus, vocab, emb = _training_setup()
+        model, _ = train(corpus, emb, _small_config(epochs=1), vocab=vocab)
+        save_model(model, vocab, str(tmp_path / "model.bin"))
+        return load_model(str(tmp_path / "model.bin"))
+
+    @staticmethod
+    def _mixed_chunks(vocab):
+        """In-vocabulary, OOV and repeated surfaces, pad slots, and one
+        sequence with trailing PAD chars."""
+        sentences = [
+            ["drug0", "dose", "filler1", "drug0", "zzqx", "filler1"],
+            ["qqq", "drug1", "dose", "unseenword", "qqq"] + [f"filler{j}" for j in range(4, 8)],
+        ]
+        chunks = [
+            chunk
+            for i, words in enumerate(sentences)
+            for chunk in chunk_sentence(
+                make_sentence([(w, "O") for w in words], sent_index=i), vocab,
+                _small_config().chunk_config,
+            )
+        ]
+        chars = list(chunks[0].char_ids)
+        chars[1] = np.append(chars[1], [0, 0])
+        return chunks + [dataclasses.replace(chunks[0], char_ids=tuple(chars))]
+
+    @staticmethod
+    def _slot_keys(batch):
+        """(char-id bytes, word id) of every real slot."""
+        return [
+            (np.asarray(batch.chars[i][t], dtype=np.int64).tobytes(), int(batch.word_ids[i, t]))
+            for i, t in zip(*np.nonzero(batch.mask))
+        ]
+
+    def test_probabilities_bit_identical_cold_and_warm(self, tmp_path):
+        loaded, vocab = self._loaded(tmp_path)
+        batch = batch_chunks(self._mixed_chunks(vocab))
+        expected = forward_batch(loaded.clone(), batch).probs
+        for _ in ("cold", "warm"):
+            assert forward_batch(loaded, batch).probs.tobytes() == expected.tobytes()
+        assert loaded.char_memo
+
+    def test_warm_forward_computes_only_oov_sequences(self, tmp_path, monkeypatch):
+        loaded, vocab = self._loaded(tmp_path)
+        batch = batch_chunks(self._mixed_chunks(vocab))
+        forward_batch(loaded, batch)
+        computed = []
+        original = neural.char_cnn_trace
+
+        def counting(chars, params):
+            computed.append(chars.tobytes())
+            return original(chars, params)
+
+        monkeypatch.setattr(neural, "char_cnn_trace", counting)
+        forward_batch(loaded, batch)
+        oov = {key for key, word in self._slot_keys(batch) if word <= UNK_INDEX}
+        assert len(oov) == 3 and sorted(computed) == sorted(oov)
+
+    def test_memo_holds_no_oov_and_at_most_one_entry_per_word_row(self, tmp_path):
+        loaded, vocab = self._loaded(tmp_path)
+        batch = batch_chunks(self._mixed_chunks(vocab))
+        forward_batch(loaded, batch)
+        oov = {key for key, word in self._slot_keys(batch) if word <= UNK_INDEX}
+        assert oov and not oov & loaded.char_memo.keys()
+        # In-vocabulary word ids carrying more distinct char sequences than
+        # the word table has rows: the memo fills up to the bound and stops.
+        rows = loaded.word_table.matrix.shape[0]
+        rng = np.random.default_rng(0)
+        template = self._mixed_chunks(vocab)[1]  # nine real slots
+        chunks = [
+            dataclasses.replace(template, char_ids=tuple(
+                rng.integers(2, vocab.char_size, size=5) for _ in template.char_ids
+            ))
+            for _ in range(3)
+        ]
+        crowded = batch_chunks(chunks)
+        assert len({key for key, _ in self._slot_keys(crowded)}) > rows
+        probs = forward_batch(loaded, crowded).probs
+        assert len(loaded.char_memo) == rows
+        np.testing.assert_array_equal(probs, forward_batch(loaded.clone(), crowded).probs)
+
+    def test_writable_model_reads_no_stale_row(self, tmp_path):
+        loaded, vocab = self._loaded(tmp_path)
+        batch = batch_chunks(self._mixed_chunks(vocab))
+        before = forward_batch(loaded, batch).probs  # fills the memo
+        table = loaded.char_params.char_table
+        table.setflags(write=True)
+        table[vocab.char_to_index["d"]] += 1.0
+        after = forward_batch(loaded, batch).probs
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, forward_batch(loaded.clone(), batch).probs)
+        assert loaded.char_memo is None
+        table.setflags(write=False)  # read-only again: the memo stays gone
+        forward_batch(loaded, batch)
+        assert loaded.char_memo is None
+
+    def test_backward_on_warm_model_equals_clone(self, tmp_path):
+        loaded, vocab = self._loaded(tmp_path)
+        chunks = self._mixed_chunks(vocab)
+        batch = batch_chunks(chunks)
+        forward_batch(loaded, batch)
+        warm = forward_batch(loaded, batch)
+        assert any(trace is None for trace in warm.char_traces)
+        clone = loaded.clone()
+        for got, expected in (
+            (backward_from_cache(loaded, warm), backward_from_cache(clone, forward_batch(clone, batch))),
+            (backward(loaded, chunks[0]), backward(clone, chunks[0])),
+        ):
+            assert got.keys() == expected.keys()
+            for name in got:
+                np.testing.assert_array_equal(got[name], expected[name], err_msg=name)
+
+    def test_concurrent_forwards_share_the_memo(self, tmp_path):
+        loaded, vocab = self._loaded(tmp_path)
+        batch = batch_chunks(self._mixed_chunks(vocab))
+        expected = forward_batch(loaded.clone(), batch).probs.tobytes()
+        results = []
+
+        def worker():
+            for _ in range(5):
+                results.append(forward_batch(loaded, batch).probs.tobytes())
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 20
+        in_vocab = {key for key, word in self._slot_keys(batch) if word > UNK_INDEX}
+        assert loaded.char_memo.keys() == in_vocab
+
+    def test_only_loaded_models_carry_a_memo(self, tmp_path):
+        corpus, vocab, emb = _training_setup()
+        model, _ = train(corpus, emb, _small_config(epochs=1), vocab=vocab)
+        assert model.char_memo is None
+        assert build_probe()[0].char_memo is None
+        loaded, _ = self._loaded(tmp_path)
+        assert loaded.char_memo == {}
+        assert loaded.clone().char_memo is None
 
 
 class TestWriteAtomic:
