@@ -296,6 +296,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"gradcheck seed must be >= 0, got {args.seed}")
     model, chunk = build_probe(seed=args.seed, trainable_words=args.train_words)
     try:
         report = finite_difference_check(

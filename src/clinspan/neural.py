@@ -51,6 +51,13 @@ z | r | h pre-activation deltas, so the weight, bias and input gradients
 are one GEMM each after the loop (the fused-gate layout of Appleyard,
 Kocisky & Blunsom 2016, arXiv:1604.01946).
 
+Tensor inventory: ``tensor_shapes`` gives each tensor's name and shape in
+``named_tensors`` (archive payload) order, and ``model_from_tensors``, the
+inverse of ``named_tensors``, builds every model (init, clone and load).
+``init_parameters`` draws the POS table, the char table, the filters by
+width, ``dense.w``, then the GRU weights direction by direction; biases draw
+nothing.  A different order would give every seed a different model.
+
 Phase separation contract: forward/backward over distinct chunks may run
 concurrently against a frozen parameter snapshot; the optimizer step is the
 single writer and must not interleave with reads.
@@ -159,22 +166,8 @@ class ModelParameters:
         self.gru_fwd, self.gru_bwd = _gate_views(self.gru_w, self.gru_u, self.gru_b)
 
     def clone(self) -> "ModelParameters":
-        # The GRU tensors are copied by __post_init__'s stacking.
-        return ModelParameters(
-            word_table=EmbeddingTable(
-                self.word_table.matrix.copy(), self.word_table.trainable
-            ),
-            pos_table=PosEmbedding(self.pos_table.matrix.copy()),
-            char_params=CharCnnParams(
-                char_table=self.char_params.char_table.copy(),
-                widths=self.char_params.widths,
-                filters=[f.copy() for f in self.char_params.filters],
-                biases=[b.copy() for b in self.char_params.biases],
-            ),
-            gru_fwd=self.gru_fwd,
-            gru_bwd=self.gru_bwd,
-            dense=DenseParams(self.dense.w.copy(), self.dense.b.copy()),
-            dims=self.dims,
+        return model_from_tensors(
+            self.dims, {n: a.copy() for n, a in named_tensors(self)}, self.word_table.trainable
         )
 
 
@@ -210,6 +203,47 @@ def named_tensors(model: ModelParameters) -> list[tuple[str, np.ndarray]]:
     return pairs
 
 
+def tensor_shapes(dims: ModelDims, vocab: Vocabulary) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every parameter tensor, in ``named_tensors`` order."""
+    d, h = dims.feature_dim, dims.hidden
+    shapes = [
+        ("word_table", (vocab.word_size, dims.word_dim)),
+        ("pos_table", (vocab.pos_size, dims.pos_dim)),
+        ("char_table", (vocab.char_size, dims.char_dim)),
+    ]
+    for k in dims.char_widths:
+        shapes += [(f"char_filters_w{k}", (dims.char_filters, k, dims.char_dim)),
+                   (f"char_bias_w{k}", (dims.char_filters,))]
+    gate_shape = {"w": (h, d), "u": (h, h), "b": (h,)}
+    shapes += [(f"{prefix}.{gate}", gate_shape[gate[0]])
+               for prefix in ("gru_fwd", "gru_bwd") for gate in GruDirectionParams.GATE_NAMES]
+    return shapes + [("dense.w", (3, 2 * h)), ("dense.b", (3,))]
+
+
+def model_from_tensors(
+    dims: ModelDims, tensors: dict[str, np.ndarray], word_table_trainable: bool
+) -> ModelParameters:
+    """The model whose ``named_tensors`` are ``tensors``: every array is
+    adopted as is, except the GRU ones, which are stacked into a new copy."""
+    def gru(prefix: str) -> GruDirectionParams:
+        return GruDirectionParams(*(tensors[f"{prefix}.{g}"] for g in GruDirectionParams.GATE_NAMES))
+
+    return ModelParameters(
+        word_table=EmbeddingTable(tensors["word_table"], word_table_trainable),
+        pos_table=PosEmbedding(tensors["pos_table"]),
+        char_params=CharCnnParams(
+            char_table=tensors["char_table"],
+            widths=dims.char_widths,
+            filters=[tensors[f"char_filters_w{k}"] for k in dims.char_widths],
+            biases=[tensors[f"char_bias_w{k}"] for k in dims.char_widths],
+        ),
+        gru_fwd=gru("gru_fwd"),
+        gru_bwd=gru("gru_bwd"),
+        dense=DenseParams(w=tensors["dense.w"], b=tensors["dense.b"]),
+        dims=dims,
+    )
+
+
 def trainable_tensor_names(model: ModelParameters) -> list[str]:
     names = [name for name, _ in named_tensors(model)]
     if not model.word_table.trainable:
@@ -238,46 +272,22 @@ def init_parameters(
             f"word table has {word_table.matrix.shape[0]} rows for a vocabulary "
             f"of {vocab.word_size} words"
         )
-
-    def glorot(shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
-
-    def table(rows: int, dim: int) -> np.ndarray:
-        limit = np.sqrt(3.0 / dim)
-        out = rng.uniform(-limit, limit, size=(rows, dim))
-        out[0] = 0.0
-        return out
-
-    word = EmbeddingTable(word_table.matrix.astype(np.float64, copy=True), word_table.trainable)
-    word.matrix[0] = 0.0
-    pos = PosEmbedding(table(vocab.pos_size, dims.pos_dim))
-    char_table = table(vocab.char_size, dims.char_dim)
-    filters = [
-        glorot((dims.char_filters, k, dims.char_dim), k * dims.char_dim, dims.char_filters)
-        for k in dims.char_widths
-    ]
-    biases = [np.zeros(dims.char_filters) for _ in dims.char_widths]
-    char = CharCnnParams(char_table, dims.char_widths, filters, biases)
-
-    d = dims.feature_dim
-    h = dims.hidden
-
-    def gru() -> GruDirectionParams:
-        return GruDirectionParams(
-            w_z=glorot((h, d), d, h),
-            w_r=glorot((h, d), d, h),
-            w_h=glorot((h, d), d, h),
-            u_z=glorot((h, h), h, h),
-            u_r=glorot((h, h), h, h),
-            u_h=glorot((h, h), h, h),
-            b_z=np.zeros(h),
-            b_r=np.zeros(h),
-            b_h=np.zeros(h),
-        )
-
-    dense = DenseParams(w=glorot((3, 2 * h), 2 * h, 3), b=np.zeros(3))
-    return ModelParameters(word, pos, char, gru(), gru(), dense, dims)
+    tensors = {name: np.zeros(shape) for name, shape in tensor_shapes(dims, vocab)}
+    tensors["word_table"][...] = word_table.matrix
+    # dense.w is drawn before the GRU weights, so every seed keeps the model
+    # it has always given.  Biases draw nothing and stay zero.
+    for name in sorted(tensors, key=lambda n: n.startswith("gru_")):
+        arr = tensors[name]
+        if name == "word_table" or arr.ndim == 1:
+            continue
+        if name in FROZEN_ROW_TABLES:
+            limit = np.sqrt(3.0 / arr.shape[1])
+        else:  # Glorot: fan_out is the leading axis, fan_in the rest
+            limit = np.sqrt(6.0 / (arr[0].size + arr.shape[0]))
+        arr[...] = rng.uniform(-limit, limit, size=arr.shape)
+    for name in FROZEN_ROW_TABLES:
+        tensors[name][0] = 0.0
+    return model_from_tensors(dims, tensors, word_table.trainable)
 
 
 # ---------------------------------------------------------------------------
@@ -856,11 +866,16 @@ def finite_difference_check(
     (all of them for small tensors) with deterministic per-tensor sampling;
     frozen tensors are reported as skipped.  ``corrupt_tensor`` rolls that
     tensor's analytic gradient by one position (a test-only fault injection).
-    Raises ValueError unless ``step`` and ``tolerance`` are finite and > 0.
+    Raises ValueError unless ``step`` and ``tolerance`` are finite and > 0 and
+    ``corrupt_tensor`` is None or a trainable tensor.
     """
     for name, value in (("step", step), ("tolerance", tolerance)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"gradcheck {name} must be finite and > 0, got {value!r}")
+    trainable = trainable_tensor_names(model)
+    if corrupt_tensor is not None and corrupt_tensor not in trainable:
+        valid = ", ".join(trainable)
+        raise ValueError(f"gradcheck has no trainable tensor {corrupt_tensor!r} (valid: {valid})")
     batch = batch_chunks([chunk])
     batch.labels = _labels_for(chunk, gold)[None, :]
 
@@ -875,7 +890,6 @@ def finite_difference_check(
         target = analytic[corrupt_tensor]
         analytic[corrupt_tensor] = np.roll(target.ravel(), 1).reshape(target.shape)
 
-    trainable = set(trainable_tensor_names(model))
     checks = []
     for name, arr in named_tensors(model):
         if name not in trainable:

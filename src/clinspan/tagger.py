@@ -28,11 +28,9 @@ from .corpus import (
     build_vocab,
     stratified_split,
 )
-from .features import CharCnnParams, EmbeddingTable, PosEmbedding
+from .features import EmbeddingTable
 from .neural import (
     AdamState,
-    DenseParams,
-    GruDirectionParams,
     ModelDims,
     ModelParameters,
     NumericError,
@@ -43,7 +41,9 @@ from .neural import (
     forward_batch,
     init_parameters,
     make_dropout_plan,
+    model_from_tensors,
     named_tensors,
+    tensor_shapes,
 )
 
 ARCHIVE_MAGIC = b"CLSPANMD"
@@ -279,6 +279,7 @@ def annotate_sentence(
     ]
 
 
+@np.errstate(all="ignore")  # divergence is reported by the non-finite loss guards below
 def train(
     corpus: AnnotatedCorpus,
     embeddings: EmbeddingTable,
@@ -457,7 +458,8 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary]:
     (header_len,) = struct.unpack("<Q", blob[12:20])
     header_end = 20 + header_len
     dims, trainable, vocab, manifest = _read_header(blob[20:header_end])
-    expected = _expected_shapes(dims, vocab)
+    # Checked before anything is allocated: the header's dims may be absurd.
+    expected = dict(tensor_shapes(dims, vocab))
     names = [name for name, _ in manifest]
     if names != list(expected):
         missing = [n for n in expected if n not in names] or ["none"]
@@ -488,25 +490,7 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary]:
     if cursor != payload_end:
         raise ArchiveError("trailing bytes after tensor payload")
 
-    def gru(prefix: str) -> GruDirectionParams:
-        return GruDirectionParams(
-            *(tensors[f"{prefix}.{g}"] for g in GruDirectionParams.GATE_NAMES)
-        )
-
-    model = ModelParameters(
-        word_table=EmbeddingTable(tensors["word_table"], trainable=trainable),
-        pos_table=PosEmbedding(tensors["pos_table"]),
-        char_params=CharCnnParams(
-            char_table=tensors["char_table"],
-            widths=dims.char_widths,
-            filters=[tensors[f"char_filters_w{k}"] for k in dims.char_widths],
-            biases=[tensors[f"char_bias_w{k}"] for k in dims.char_widths],
-        ),
-        gru_fwd=gru("gru_fwd"),
-        gru_bwd=gru("gru_bwd"),
-        dense=DenseParams(w=tensors["dense.w"], b=tensors["dense.b"]),
-        dims=dims,
-    )
+    model = model_from_tensors(dims, tensors, trainable)
     for arr in [model.gru_w, model.gru_u, model.gru_b] + [t for _, t in named_tensors(model)]:
         arr.setflags(write=False)  # views need their own flag; clone() makes writable copies
     model.char_memo = {}  # safe only because the char tensors are now read-only
@@ -546,26 +530,6 @@ def _read_header(
     if not all(type(n) is int for shape in (s for _, s in manifest) for n in shape):
         raise ArchiveError("archive tensor shapes are not integer lists")
     return dims, trainable, vocab, manifest
-
-
-def _expected_shapes(dims: ModelDims, vocab: Vocabulary) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter tensor, in archive order."""
-    d, h = dims.feature_dim, dims.hidden
-    shapes: dict[str, tuple[int, ...]] = {
-        "word_table": (vocab.word_size, dims.word_dim),
-        "pos_table": (vocab.pos_size, dims.pos_dim),
-        "char_table": (vocab.char_size, dims.char_dim),
-    }
-    for k in dims.char_widths:
-        shapes[f"char_filters_w{k}"] = (dims.char_filters, k, dims.char_dim)
-        shapes[f"char_bias_w{k}"] = (dims.char_filters,)
-    for prefix in ("gru_fwd", "gru_bwd"):
-        for gate in GruDirectionParams.GATE_NAMES:
-            kind = gate[0]
-            shapes[f"{prefix}.{gate}"] = (h, d) if kind == "w" else (h, h) if kind == "u" else (h,)
-    shapes["dense.w"] = (3, 2 * h)
-    shapes["dense.b"] = (3,)
-    return shapes
 
 
 def format_history(history: TrainHistory) -> str:

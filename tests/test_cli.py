@@ -10,7 +10,7 @@ import pytest
 
 from clinspan.cli import PATH_KEYS, build_parser, build_run_config, load_config_file, main
 from clinspan.corpus import parse_corpus
-from clinspan.tagger import TrainConfig, load_model
+from clinspan.tagger import ArchiveError, TrainConfig, load_model
 
 from conftest import DATA_DIR
 
@@ -141,6 +141,14 @@ class TestTrainCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("clinspan: numeric failure:") and err.count("\n") == 1
+        assert not model_path.exists()
+
+    def test_overflowing_learning_rate_is_one_line_numeric_failure(self, tmp_path, capsys):
+        # lr 1e300 leaves the parameters finite (about 1e300) after the first
+        # Adam step; the next forward overflows, and numpy must not warn first.
+        model_path = tmp_path / "huge.bin"
+        assert run(*train_args(model_path, "--lr", "1e300")) == 3
+        assert_one_line(capsys, "clinspan: numeric failure:")
         assert not model_path.exists()
 
     @pytest.mark.parametrize("flags", [
@@ -299,6 +307,20 @@ class TestTagCommand:
 
         self._assert_rejected(trained, tmp_path, capsys, edit, "word vocabulary")
 
+    @pytest.mark.parametrize("hidden", [-3, 10**9])
+    def test_archive_with_impossible_hidden_rejected_before_allocation(
+        self, hidden, trained, tmp_path, capsys
+    ):
+        # The manifest is left as it is, so the shapes disagree with the dims;
+        # building a model from the dims first would fail or try to allocate
+        # hundreds of GiB.
+        edited = self._assert_rejected(
+            trained, tmp_path, capsys, lambda header: header["dims"].update(hidden=hidden),
+            "gru_fwd.w_z",
+        )
+        with pytest.raises(ArchiveError, match="gru_fwd.w_z"):
+            load_model(str(edited))
+
     @staticmethod
     def _assert_rejected(trained, tmp_path, capsys, edit, needle):
         """Edit the header of a copy of the archive, checksum it again, and
@@ -318,6 +340,7 @@ class TestTagCommand:
         err = capsys.readouterr().err
         assert err.startswith("clinspan: data error:") and err.count("\n") == 1
         assert needle in err
+        return edited
 
 
 class TestEvalCommand:
@@ -409,6 +432,16 @@ class TestGradcheckCommand:
         assert run("gradcheck", *flags) == 1
         assert_one_line(capsys, "clinspan: config error: gradcheck")
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flags, needle", [
+        (("--seed", "-1"), "seed must be >= 0"),
+        (("--inject-bug", "nosuch"), "valid: pos_table, char_table,"),
+    ], ids=["negative-seed", "unknown-tensor"])
+    def test_bad_seed_or_unknown_tensor_is_a_config_error(self, flags, needle, capsys):
+        assert run("gradcheck", *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("clinspan: config error: gradcheck") and err.count("\n") == 1
+        assert needle in err
 
 
 class TestParserBehavior:

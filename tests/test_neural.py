@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 
 from clinspan import neural
 from clinspan.chunking import PaddedChunk
+from clinspan.corpus import Vocabulary
+from clinspan.features import EmbeddingTable
 from clinspan.neural import (
     AdamState,
     DenseParams,
     GruDirectionParams,
+    ModelDims,
     NumericError,
     adam_step,
     backward,
@@ -26,9 +30,11 @@ from clinspan.neural import (
     finite_difference_check,
     forward_batch,
     global_grad_norm,
+    init_parameters,
     make_dropout_plan,
     named_tensors,
     softmax,
+    tensor_shapes,
     trainable_tensor_names,
 )
 from clinspan.neural import _chunk_losses, _sigmoid
@@ -723,9 +729,38 @@ class TestPackedLayout:
     def test_clone_shares_no_memory(self):
         model = _probe_model(seed=11)
         copy = model.clone()
+        assert copy.word_table.trainable and copy.dims == model.dims
         stored = lambda m: [a for _, a in named_tensors(m)] + [m.gru_w, m.gru_u, m.gru_b]
         for a, b in zip(stored(model), stored(copy)):
             np.testing.assert_array_equal(a, b)
         for a in stored(model):
             assert not any(np.shares_memory(a, b) for b in stored(copy))
         assert np.shares_memory(copy.gru_fwd.w_h, copy.gru_w)
+
+
+class TestTensorInventory:
+    # sha256 of the float64 bytes of every tensor in named_tensors order, as
+    # the init stream drew them when the inventory moved behind neural.  A
+    # changed draw order changes every seed's model and fails here.
+    PROBE_DIGEST = "b04161cb9d9f0d3ebfc58750f8b90b5c1dc48070032e570208a46ba91a0df438"
+
+    def test_init_stream_is_pinned(self):
+        model = build_probe(seed=3, char_widths=(2, 3), hidden=5)[0]
+        digest = hashlib.sha256()
+        for _, arr in named_tensors(model):
+            digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        assert digest.hexdigest() == self.PROBE_DIGEST
+
+    @pytest.mark.parametrize("widths, trainable", [((3,), False), ((2, 4), True)])
+    def test_shapes_match_the_initialized_model(self, widths, trainable):
+        vocab = Vocabulary(
+            word_to_index={"<pad>": 0, "<unk>": 1, "a": 2, "b": 3},
+            pos_to_index={"<pad>": 0, "<unk>": 1, "NOUN": 2},
+            char_to_index={"<pad>": 0, "<unk>": 1, "a": 2, "b": 3, "c": 4},
+        )
+        dims = ModelDims(word_dim=3, pos_dim=2, char_dim=4, char_filters=5,
+                         char_widths=widths, hidden=6, window=7, overlap=2)
+        words = EmbeddingTable(np.ones((vocab.word_size, 3)), trainable=trainable)
+        model = init_parameters(dims, vocab, words, np.random.default_rng(0))
+        assert model.word_table.trainable is trainable
+        assert tensor_shapes(dims, vocab) == [(n, a.shape) for n, a in named_tensors(model)]
