@@ -4,11 +4,13 @@ from .chunking import ChunkConfig, PaddedChunk, chunk_count, chunk_sentence, mer
 from .corpus import (
     AnnotatedCorpus,
     AnnotatedSentence,
+    ConceptSpan,
     RawToken,
     StatsReport,
     Vocabulary,
     build_vocab,
     corpus_stats,
+    decode_iob,
     normalize_token,
     parse_corpus,
     serialize_corpus,
@@ -34,14 +36,11 @@ from .neural import (
     finite_difference_check,
 )
 from .tagger import (
-    ConceptSpan,
     TrainConfig,
     TrainHistory,
     annotate_sentence,
-    decode_iob,
     load_model,
     save_model,
-    spans_to_iob,
     train,
 )
 

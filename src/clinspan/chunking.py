@@ -47,8 +47,6 @@ class PaddedChunk:
     mask: np.ndarray  # (window,) bool
     sentence_offset: int
     chunk_ordinal: int
-    doc_id: str = ""
-    sent_index: int = 0
     labels: np.ndarray | None = None  # (window,) int64, -1 at pads
 
     @property
@@ -104,8 +102,6 @@ def chunk_sentence(
                 mask=mask,
                 sentence_offset=start,
                 chunk_ordinal=ordinal,
-                doc_id=sentence.doc_id,
-                sent_index=sentence.sent_index,
                 labels=y,
             )
         )

@@ -21,16 +21,22 @@ from .corpus import (
     RawToken,
     build_vocab,
     corpus_stats,
+    decode_iob,
     format_stats,
     parse_corpus,
     serialize_corpus,
 )
 from .features import load_embeddings
-from .neural import NumericError, build_probe, finite_difference_check
+from .neural import (
+    GRADCHECK_STEP,
+    GRADCHECK_TOLERANCE,
+    NumericError,
+    build_probe,
+    finite_difference_check,
+)
 from .tagger import (
     ArchiveError,
     TrainConfig,
-    decode_iob,
     format_history,
     gold_spans,
     load_model,
@@ -371,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="verify gradients by finite differences")
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--step", type=float, default=1e-5)
-    p_grad.add_argument("--tolerance", type=float, default=1e-4)
+    p_grad.add_argument("--step", type=float, default=GRADCHECK_STEP)
+    p_grad.add_argument("--tolerance", type=float, default=GRADCHECK_TOLERANCE)
     p_grad.add_argument("--train-words", type=_parse_bool, default=False,
                         metavar="BOOL", help="make the word table trainable too")
     p_grad.add_argument("--inject-bug", help=argparse.SUPPRESS)

@@ -1,4 +1,5 @@
-"""Annotated corpus ingestion: parsing, normalization, vocabulary, splitting, stats.
+"""Annotated corpus ingestion: parsing, normalization, vocabulary, splitting,
+stats, and the one IOB span decoder (``decode_iob``).
 
 File format: UTF-8 lines of ``surface<WS>POS<WS>LABEL[<WS>CONCEPT_ID]`` where
 ``<WS>`` is a tab or run of spaces, a blank line ends a sentence and a line
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +31,47 @@ PAD = "<pad>"
 UNK = "<unk>"
 PAD_INDEX = 0
 UNK_INDEX = 1
+
+
+@dataclass(frozen=True)
+class ConceptSpan:
+    """Half-open token interval [start, end) within one sentence."""
+
+    start: int
+    end: int
+    doc_id: str | None = None
+    sent_index: int | None = None
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.start < self.end:
+            raise ValueError(f"invalid span [{self.start}, {self.end})")
+
+
+def decode_iob(tags: Sequence[str]) -> list[ConceptSpan]:
+    """Maximal B I* runs as half-open spans, with orphan-I repair.
+
+    An I with no live span (sentence-initial or right after an O) is treated
+    as a B and opens a span; O closes any open span.
+    """
+    spans: list[ConceptSpan] = []
+    start: int | None = None
+    for i, tag in enumerate(tags):
+        if tag not in LABELS:
+            raise ValueError(f"unknown tag {tag!r} at position {i}")
+        if tag == "O":
+            if start is not None:
+                spans.append(ConceptSpan(start, i))
+                start = None
+        elif tag == "B":
+            if start is not None:
+                spans.append(ConceptSpan(start, i))
+            start = i
+        else:  # I continues a live span or is repaired into a B
+            if start is None:
+                start = i
+    if start is not None:
+        spans.append(ConceptSpan(start, len(tags)))
+    return spans
 
 
 class ParseError(ValueError):
@@ -59,14 +101,6 @@ class AnnotatedSentence:
 
     def labels(self) -> list[str]:
         return [t.label for t in self.tokens]
-
-    def orphan_inside_positions(self) -> list[int]:
-        """Positions where an I label opens without a live span (repairable)."""
-        out = []
-        for i, tok in enumerate(self.tokens):
-            if tok.label == "I" and (i == 0 or self.tokens[i - 1].label == "O"):
-                out.append(i)
-        return out
 
 
 @dataclass(frozen=True)
@@ -269,21 +303,6 @@ def build_vocab(corpus: AnnotatedCorpus, min_count: int = 1) -> Vocabulary:
     return Vocabulary(word_to_index, pos_to_index, char_to_index)
 
 
-def count_spans(labels: Iterable[str]) -> int:
-    """Number of maximal B(I)* runs; orphan I (after O or initial) opens a run.
-
-    Kept deliberately independent of the tagger module's span decoder so the
-    two act as oracles for each other.
-    """
-    count = 0
-    prev = "O"
-    for label in labels:
-        if label == "B" or (label == "I" and prev == "O"):
-            count += 1
-        prev = label
-    return count
-
-
 def stratified_split(
     corpus: AnnotatedCorpus, valid_fraction: float, seed: int
 ) -> SplitResult:
@@ -305,7 +324,7 @@ def stratified_split(
     n_valid = int(round(n * valid_fraction))
     n_valid = min(max(n_valid, 1), n - 1)
 
-    span_counts = [count_spans(s.labels()) for s in corpus.sentences]
+    span_counts = [len(decode_iob(s.labels())) for s in corpus.sentences]
     groups: dict[int, list[int]] = {}
     for idx in order:
         groups.setdefault(span_counts[idx], []).append(int(idx))
@@ -360,7 +379,7 @@ def corpus_stats(corpus: AnnotatedCorpus, chunk_config) -> StatsReport:
         length = len(sentence)
         histogram[length] += 1
         chunks += chunk_count(length, chunk_config)
-        spans += count_spans(sentence.labels())
+        spans += len(decode_iob(sentence.labels()))
     return StatsReport(
         note_count=corpus.note_count,
         sentence_count_before_chunking=len(corpus.sentences),

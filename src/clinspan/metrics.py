@@ -1,8 +1,9 @@
 """Exact-span micro-averaged precision/recall/F1 and token accuracy.
 
-Spans match only when start and end both agree within the same sentence;
-partial overlap counts as one false positive plus one false negative.
-Counts are pooled over all sentences before any ratio is taken
+Spans are ``(start, end)`` pairs of a half-open token interval, given as one
+list per sentence.  They match only when start and end both agree within the
+same sentence; partial overlap counts as one false positive plus one false
+negative.  Counts are pooled over all sentences before any ratio is taken
 (micro-averaging).  Everything here is pure and order-independent.
 """
 from __future__ import annotations
@@ -21,22 +22,16 @@ class EvalResult:
     f1: float
     token_accuracy: float | None = None
     tokens_total: int = 0
-    tokens_correct: int = 0
 
 
-def _as_key(span, with_concept: bool) -> tuple:
-    if isinstance(span, tuple):
-        start, end = span[0], span[1]
-        concept = span[2] if len(span) > 2 else None
-    else:
-        start, end = span.start, span.end
-        concept = getattr(span, "concept_id", None)
+def _check_interval(span: tuple[int, int]) -> tuple[int, int]:
+    start, end = span
     if not 0 <= start < end:
         raise ValueError(f"invalid span [{start}, {end})")
-    return (start, end, concept) if with_concept else (start, end)
+    return start, end
 
 
-def _check_no_overlap(keys: list[tuple], which: str) -> None:
+def _check_no_overlap(keys: list[tuple[int, int]], which: str) -> None:
     ordered = sorted(keys)
     for a, b in zip(ordered, ordered[1:]):
         if b[0] < a[1]:
@@ -46,47 +41,26 @@ def _check_no_overlap(keys: list[tuple], which: str) -> None:
 
 
 def span_match_counts(
-    gold: Sequence[Sequence],
-    predicted: Sequence[Sequence],
-    match_concept_ids: bool = False,
+    gold: Sequence[Sequence[tuple[int, int]]],
+    predicted: Sequence[Sequence[tuple[int, int]]],
 ) -> tuple[int, int, int]:
-    """(TP, FP, FN) over aligned per-sentence span lists, pooled micro-style.
-
-    Spans may be (start, end) tuples or objects with start/end attributes.
-    With ``match_concept_ids`` both sides must also agree on the concept
-    identifier (compared only when both carry one).
-    """
+    """(TP, FP, FN) over aligned per-sentence lists of (start, end) pairs,
+    pooled micro-style.  Raises ValueError for an empty or negative interval
+    or for overlapping spans on one side."""
     if len(gold) != len(predicted):
         raise ValueError(
             f"gold has {len(gold)} sentences, predictions have {len(predicted)}"
         )
     tp = fp = fn = 0
     for gold_sent, pred_sent in zip(gold, predicted):
-        g_keys = [_as_key(s, match_concept_ids) for s in gold_sent]
-        p_keys = [_as_key(s, match_concept_ids) for s in pred_sent]
+        g_keys = [_check_interval(s) for s in gold_sent]
+        p_keys = [_check_interval(s) for s in pred_sent]
         _check_no_overlap(g_keys, "gold")
         _check_no_overlap(p_keys, "predicted")
-        if match_concept_ids:
-            # A side lacking the identifier matches any identifier on the other.
-            g_set, p_set = set(g_keys), set(p_keys)
-            matched_g: set[tuple] = set()
-            matched_p: set[tuple] = set()
-            for g in g_set:
-                for p in p_set:
-                    if p in matched_p:
-                        continue
-                    if g[:2] == p[:2] and (g[2] is None or p[2] is None or g[2] == p[2]):
-                        matched_g.add(g)
-                        matched_p.add(p)
-                        break
-            tp += len(matched_g)
-            fp += len(p_set - matched_p)
-            fn += len(g_set - matched_g)
-        else:
-            g_set, p_set = set(g_keys), set(p_keys)
-            tp += len(g_set & p_set)
-            fp += len(p_set - g_set)
-            fn += len(g_set - p_set)
+        g_set, p_set = set(g_keys), set(p_keys)
+        tp += len(g_set & p_set)
+        fp += len(p_set - g_set)
+        fn += len(g_set - p_set)
     return tp, fp, fn
 
 
@@ -130,19 +104,18 @@ def token_accuracy(
 
 
 def evaluate(
-    gold_spans: Sequence[Sequence],
-    pred_spans: Sequence[Sequence],
+    gold_spans: Sequence[Sequence[tuple[int, int]]],
+    pred_spans: Sequence[Sequence[tuple[int, int]]],
     gold_tags: Sequence[Sequence[str]] | None = None,
     pred_tags: Sequence[Sequence[str]] | None = None,
 ) -> EvalResult:
     counts = span_match_counts(gold_spans, pred_spans)
     precision, recall, f1 = prf(counts)
     accuracy = None
-    total = correct = 0
+    total = 0
     if gold_tags is not None and pred_tags is not None:
         accuracy = token_accuracy(gold_tags, pred_tags)
         total = sum(len(s) for s in gold_tags)
-        correct = round(accuracy * total)
     return EvalResult(
         true_positives=counts[0],
         false_positives=counts[1],
@@ -152,7 +125,6 @@ def evaluate(
         f1=f1,
         token_accuracy=accuracy,
         tokens_total=total,
-        tokens_correct=correct,
     )
 
 

@@ -71,7 +71,7 @@ from typing import Sequence
 import numpy as np
 
 from .chunking import ChunkConfig, PaddedChunk
-from .corpus import LABEL_TO_INDEX, UNK_INDEX, Vocabulary
+from .corpus import UNK_INDEX, Vocabulary
 from .features import (
     CharCnnParams,
     CharTrace,
@@ -81,6 +81,14 @@ from .features import (
 )
 
 PROB_FLOOR = 1e-12
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+GRADCHECK_STEP = 1e-5
+GRADCHECK_TOLERANCE = 1e-4
+GRADCHECK_COORDS = 20  # coordinates sampled per trainable tensor
 
 # Tables whose row 0 (PAD) stays exactly zero through training.
 FROZEN_ROW_TABLES = ("word_table", "pos_table", "char_table")
@@ -121,6 +129,17 @@ class ModelDims:
     hidden: int
     window: int
     overlap: int
+
+    def __post_init__(self) -> None:
+        """Raises ValueError naming a size below 1, repeated or non-positive
+        char widths, or a window/overlap pair ChunkConfig rejects."""
+        for name in ("word_dim", "pos_dim", "char_dim", "char_filters", "hidden"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        widths = self.char_widths
+        if not (min(widths, default=0) >= 1 and len(set(widths)) == len(widths)):
+            raise ValueError(f"char_widths must be distinct widths >= 1, got {widths!r}")
+        ChunkConfig(window=self.window, overlap=self.overlap)
 
     @property
     def char_output_dim(self) -> int:
@@ -450,10 +469,6 @@ class ForwardCache:
     chunk_losses: np.ndarray  # (B,)
     plan: DropoutPlan | None
 
-    @property
-    def mean_loss(self) -> float:
-        return float(self.chunk_losses.mean())
-
 
 def _featurize_batch(
     model: ModelParameters, batch: ChunkBatch, pack: Packing
@@ -711,29 +726,13 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
     return grads
 
 
-def _labels_for(chunk: PaddedChunk, gold: Sequence | None) -> np.ndarray:
-    if gold is None:
-        if chunk.labels is None:
-            raise ValueError("chunk carries no labels and no gold was given")
-        return chunk.labels
-    idx = [LABEL_TO_INDEX[g] if isinstance(g, str) else int(g) for g in gold]
-    labels = np.full(chunk.window, -1, dtype=np.int64)
-    real = chunk.real_count
-    if len(idx) not in (real, chunk.window):
-        raise ValueError("gold length must match the chunk's real slots or window")
-    labels[:real] = idx[:real]
-    return labels
-
-
-def backward(
-    model: ModelParameters, chunk: PaddedChunk, gold: Sequence | None = None
-) -> dict[str, np.ndarray]:
-    """Exact gradients of the chunk's summed cross-entropy w.r.t. every
-    trainable tensor (frozen tensors are simply absent from the result)."""
-    batch = batch_chunks([chunk])
-    batch.labels = _labels_for(chunk, gold)[None, :]
-    cache = forward_batch(model, batch)
-    return backward_from_cache(model, cache)
+def backward(model: ModelParameters, chunk: PaddedChunk) -> dict[str, np.ndarray]:
+    """Exact gradients of the chunk's summed cross-entropy against its own
+    labels w.r.t. every trainable tensor (frozen tensors are simply absent
+    from the result).  Raises ValueError for a chunk without labels."""
+    if chunk.labels is None:
+        raise ValueError("chunk carries no labels")
+    return backward_from_cache(model, forward_batch(model, batch_chunks([chunk])))
 
 
 # ---------------------------------------------------------------------------
@@ -747,9 +746,7 @@ def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     return float(np.sqrt(total))
 
 
-def clip_gradients(
-    grads: dict[str, np.ndarray], max_norm: float = 5.0
-) -> dict[str, np.ndarray]:
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
     """Scale all gradients so the global L2 norm never exceeds ``max_norm``."""
     norm = global_grad_norm(grads)
     if norm > max_norm:
@@ -764,9 +761,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_model(cls, model: ModelParameters) -> "AdamState":
@@ -782,7 +776,7 @@ def adam_step(
     model: ModelParameters,
     grads: dict[str, np.ndarray],
     state: AdamState,
-    lr: float = 0.001,
+    lr: float,
 ) -> tuple[ModelParameters, AdamState]:
     """Standard Adam with bias correction, updating parameters in place.
 
@@ -791,16 +785,16 @@ def adam_step(
     """
     tensors = dict(named_tensors(model))
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for name, g in grads.items():
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         tensors[name] -= lr * update
     return model, state
 
@@ -854,16 +848,15 @@ def _coord_rng(name: str) -> np.random.Generator:
 def finite_difference_check(
     model: ModelParameters,
     chunk: PaddedChunk,
-    gold: Sequence | None = None,
-    step: float = 1e-5,
-    tolerance: float = 1e-4,
-    coords_per_tensor: int = 20,
+    step: float = GRADCHECK_STEP,
+    tolerance: float = GRADCHECK_TOLERANCE,
     corrupt_tensor: str | None = None,
 ) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+    """Compare analytic gradients against central finite differences of the
+    loss of the chunk's own labels.
 
-    Samples at least ``coords_per_tensor`` coordinates per trainable tensor
-    (all of them for small tensors) with deterministic per-tensor sampling;
+    Samples ``GRADCHECK_COORDS`` coordinates per trainable tensor (all of
+    them for small tensors) with deterministic per-tensor sampling;
     frozen tensors are reported as skipped.  ``corrupt_tensor`` rolls that
     tensor's analytic gradient by one position (a test-only fault injection).
     Raises ValueError unless ``step`` and ``tolerance`` are finite and > 0 and
@@ -877,7 +870,6 @@ def finite_difference_check(
         valid = ", ".join(trainable)
         raise ValueError(f"gradcheck has no trainable tensor {corrupt_tensor!r} (valid: {valid})")
     batch = batch_chunks([chunk])
-    batch.labels = _labels_for(chunk, gold)[None, :]
 
     def loss() -> float:
         return float(forward_batch(model, batch).chunk_losses[0])
@@ -885,7 +877,7 @@ def finite_difference_check(
     base = loss()
     if not np.isfinite(base):
         raise NumericError(f"non-finite loss {base!r}; gradient check aborted")
-    analytic = backward_from_cache(model, forward_batch(model, batch))
+    analytic = backward(model, chunk)
     if corrupt_tensor is not None:
         target = analytic[corrupt_tensor]
         analytic[corrupt_tensor] = np.roll(target.ravel(), 1).reshape(target.shape)
@@ -899,8 +891,8 @@ def finite_difference_check(
         if name in FROZEN_ROW_TABLES:
             eligible = eligible[eligible >= arr.shape[1]]
         rng = _coord_rng(name)
-        if eligible.size > coords_per_tensor:
-            sample = rng.choice(eligible, size=coords_per_tensor, replace=False)
+        if eligible.size > GRADCHECK_COORDS:
+            sample = rng.choice(eligible, size=GRADCHECK_COORDS, replace=False)
         else:
             sample = eligible
         check = TensorCheck(name=name, status="passed")

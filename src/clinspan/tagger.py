@@ -1,4 +1,4 @@
-"""End-to-end training, inference, IOB span decoding, and model persistence.
+"""End-to-end training, inference, and model persistence.
 
 Training is single-writer over the parameters: batches are featurized and
 backpropagated against the current snapshot, then the optimizer step applies.
@@ -24,8 +24,10 @@ from .corpus import (
     LABELS,
     AnnotatedCorpus,
     AnnotatedSentence,
+    ConceptSpan,
     Vocabulary,
     build_vocab,
+    decode_iob,
     stratified_split,
 )
 from .features import EmbeddingTable
@@ -67,8 +69,9 @@ class ArchiveChecksumError(ArchiveError):
 class TrainConfig:
     """Every training hyperparameter; the defaults are the published values.
 
-    Construction validates every field and raises ValueError naming the first
-    one out of range.  A NaN learning rate is let through on purpose: it is
+    Construction validates every field and raises ValueError naming one out
+    of range; the model sizes and the window/overlap pair are checked by
+    ``ModelDims``.  A NaN learning rate is let through on purpose: it is
     caught by the numeric guards of ``train``.
     """
 
@@ -91,7 +94,6 @@ class TrainConfig:
     train_word_embeddings: bool = False
 
     def __post_init__(self) -> None:
-        widths = tuple(self.char_widths)
         rules = (
             ("epochs", self.epochs >= 0, ">= 0"),
             ("lr", not self.lr < 0, ">= 0"),
@@ -100,37 +102,29 @@ class TrainConfig:
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
             ("valid_fraction", 0 < self.valid_fraction < 1, "in (0, 1)"),
-            ("pos_dim", self.pos_dim >= 1, ">= 1"),
-            ("char_dim", self.char_dim >= 1, ">= 1"),
-            ("char_filters", self.char_filters >= 1, ">= 1"),
-            ("char_widths", min(widths, default=0) >= 1 and len(set(widths)) == len(widths),
-             "distinct widths >= 1"),
-            ("hidden", self.hidden >= 1, ">= 1"),
             ("min_count", self.min_count >= 1, ">= 1"),
         )
         for name, ok, requirement in rules:
             if not ok:
                 raise ValueError(f"{name} must be {requirement}, got {getattr(self, name)!r}")
-        ChunkConfig(window=self.window, overlap=self.overlap)  # raises on a bad pair
+        self.model_dims(word_dim=1)  # the word dim comes from the embeddings
+
+    def model_dims(self, word_dim: int) -> ModelDims:
+        """Dims of the model this config trains on ``word_dim``-wide word vectors."""
+        return ModelDims(
+            word_dim=word_dim,
+            pos_dim=self.pos_dim,
+            char_dim=self.char_dim,
+            char_filters=self.char_filters,
+            char_widths=tuple(self.char_widths),
+            hidden=self.hidden,
+            window=self.window,
+            overlap=self.overlap,
+        )
 
     @property
     def chunk_config(self) -> ChunkConfig:
         return ChunkConfig(window=self.window, overlap=self.overlap)
-
-
-@dataclass(frozen=True)
-class ConceptSpan:
-    """Half-open token interval [start, end) within one sentence."""
-
-    start: int
-    end: int
-    doc_id: str | None = None
-    sent_index: int | None = None
-    concept_id: str | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"invalid span [{self.start}, {self.end})")
 
 
 @dataclass(frozen=True)
@@ -147,61 +141,11 @@ class TrainHistory:
     best_epoch: int = 0
     stopped_epoch: int = 0
 
-    def final_train_loss(self) -> float:
-        return self.epochs[-1].train_loss if self.epochs else float("nan")
-
-
-def decode_iob(tags: Sequence[str]) -> list[ConceptSpan]:
-    """Maximal B I* runs as half-open spans, with orphan-I repair.
-
-    An I with no live span (sentence-initial or right after an O) is treated
-    as a B and opens a span; O closes any open span.
-    """
-    spans: list[ConceptSpan] = []
-    start: int | None = None
-    for i, tag in enumerate(tags):
-        if tag not in LABELS:
-            raise ValueError(f"unknown tag {tag!r} at position {i}")
-        if tag == "O":
-            if start is not None:
-                spans.append(ConceptSpan(start, i))
-                start = None
-        elif tag == "B":
-            if start is not None:
-                spans.append(ConceptSpan(start, i))
-            start = i
-        else:  # I continues a live span or is repaired into a B
-            if start is None:
-                start = i
-    if start is not None:
-        spans.append(ConceptSpan(start, len(tags)))
-    return spans
-
-
-def spans_to_iob(spans: Sequence[ConceptSpan], length: int) -> list[str]:
-    """Inverse of decode_iob for non-overlapping span sets."""
-    tags = ["O"] * length
-    for span in sorted(spans, key=lambda s: s.start):
-        if span.end > length:
-            raise ValueError(f"span [{span.start}, {span.end}) exceeds length {length}")
-        if any(t != "O" for t in tags[span.start : span.end]):
-            raise ValueError("overlapping spans cannot be encoded")
-        tags[span.start] = "B"
-        for i in range(span.start + 1, span.end):
-            tags[i] = "I"
-    return tags
-
 
 def gold_spans(sentence: AnnotatedSentence) -> list[ConceptSpan]:
-    """Spans decoded from the gold labels, with concept ids passed through."""
+    """Spans decoded from the gold labels, tagged with the sentence they belong to."""
     return [
-        ConceptSpan(
-            s.start,
-            s.end,
-            doc_id=sentence.doc_id,
-            sent_index=sentence.sent_index,
-            concept_id=sentence.tokens[s.start].concept_id,
-        )
+        ConceptSpan(s.start, s.end, doc_id=sentence.doc_id, sent_index=sentence.sent_index)
         for s in decode_iob(sentence.labels())
     ]
 
@@ -317,16 +261,7 @@ def train(
         train_sents, valid_sents = corpus.sentences, ()
 
     rng = np.random.default_rng(config.seed)
-    dims = ModelDims(
-        word_dim=embeddings.dim,
-        pos_dim=config.pos_dim,
-        char_dim=config.char_dim,
-        char_filters=config.char_filters,
-        char_widths=tuple(config.char_widths),
-        hidden=config.hidden,
-        window=config.window,
-        overlap=config.overlap,
-    )
+    dims = config.model_dims(embeddings.dim)
     word_table = EmbeddingTable(
         embeddings.matrix.astype(np.float64, copy=True),
         trainable=config.train_word_embeddings,
@@ -506,7 +441,6 @@ def _read_header(
         header = json.loads(raw.decode("utf-8"))
         dims_raw = dict(header["dims"])
         dims = ModelDims(**{**dims_raw, "char_widths": tuple(dims_raw["char_widths"])})
-        ChunkConfig(window=dims.window, overlap=dims.overlap)  # raises on a bad pair
         trainable = header["word_table_trainable"]
         vocab = Vocabulary(
             word_to_index=dict(header["vocab"]["word_to_index"]),

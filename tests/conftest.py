@@ -47,3 +47,31 @@ def make_corpus(sentences: list[AnnotatedSentence]) -> AnnotatedCorpus:
 
 def parse_text(text: str, **kwargs) -> AnnotatedCorpus:
     return parse_corpus(io.StringIO(text), **kwargs)
+
+
+# Independent oracles for the span decoder (clinspan.corpus.decode_iob).
+
+
+def count_spans(labels) -> int:
+    """Number of maximal B(I)* runs; orphan I (after O or initial) opens a run."""
+    count = 0
+    prev = "O"
+    for label in labels:
+        if label == "B" or (label == "I" and prev == "O"):
+            count += 1
+        prev = label
+    return count
+
+
+def spans_to_iob(spans, length: int) -> list[str]:
+    """Inverse of decode_iob for non-overlapping span sets."""
+    tags = ["O"] * length
+    for span in sorted(spans, key=lambda s: s.start):
+        if span.end > length:
+            raise ValueError(f"span [{span.start}, {span.end}) exceeds length {length}")
+        if any(t != "O" for t in tags[span.start : span.end]):
+            raise ValueError("overlapping spans cannot be encoded")
+        tags[span.start] = "B"
+        for i in range(span.start + 1, span.end):
+            tags[i] = "I"
+    return tags

@@ -14,7 +14,14 @@ import pytest
 
 from clinspan.chunking import ChunkConfig, chunk_count, chunk_sentence, merge_chunk_predictions
 from clinspan.cli import build_parser, build_run_config, main
-from clinspan.corpus import LABELS, build_vocab, parse_corpus, stratified_split
+from clinspan.corpus import (
+    LABELS,
+    ConceptSpan,
+    build_vocab,
+    decode_iob,
+    parse_corpus,
+    stratified_split,
+)
 from clinspan.features import load_embeddings
 from clinspan.metrics import (
     EvalResult,
@@ -26,19 +33,16 @@ from clinspan.neural import build_probe, finite_difference_check, named_tensors
 from clinspan.tagger import (
     ArchiveChecksumError,
     ArchiveVersionError,
-    ConceptSpan,
     TrainConfig,
     annotate_sentence,
-    decode_iob,
     gold_spans,
     load_model,
     predict_corpus_labels,
     save_model,
-    spans_to_iob,
     train,
 )
 
-from conftest import DATA_DIR, make_corpus, make_sentence
+from conftest import DATA_DIR, make_corpus, make_sentence, spans_to_iob
 
 
 @contextlib.contextmanager
@@ -99,7 +103,7 @@ def test_criterion_2_overfit_oracle(overfit_run):
             for c in chunk_sentence(s, vocab, chunk_config)
         )
         uniform_loss = token_count * math.log(3.0)
-        assert history.final_train_loss() < 0.05 * uniform_loss
+        assert history.epochs[-1].train_loss < 0.05 * uniform_loss
 
         predicted = predict_corpus_labels(model, vocab, train_sents, chunk_config)
         gold = [[(s.start, s.end) for s in gold_spans(x)] for x in train_sents]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import struct
 
@@ -313,24 +314,65 @@ class TestTagCommand:
     ):
         # The manifest is left as it is, so the shapes disagree with the dims;
         # building a model from the dims first would fail or try to allocate
-        # hundreds of GiB.
-        edited = self._assert_rejected(
+        # hundreds of GiB.  A size below 1 is refused by the dims rules first.
+        needle = "hidden must be >= 1" if hidden < 1 else "gru_fwd.w_z"
+        self._assert_rejected(
             trained, tmp_path, capsys, lambda header: header["dims"].update(hidden=hidden),
-            "gru_fwd.w_z",
+            needle,
         )
-        with pytest.raises(ArchiveError, match="gru_fwd.w_z"):
-            load_model(str(edited))
+
+    @pytest.mark.parametrize("size", ["char_filters", "hidden"])
+    def test_archive_with_zero_size_rejected(self, size, trained, tmp_path, capsys):
+        # Manifest and payload agree with the zero-size dims, so only the dims
+        # rules can refuse the archive.  The bytes are written here because
+        # clinspan no longer builds such a model.
+        def edit(header):
+            dims = header["dims"]
+            dims[size] = 0
+            h, f = dims["hidden"], dims["char_filters"]
+            d = dims["word_dim"] + dims["pos_dim"] + f * len(dims["char_widths"])
+            for entry in header["tensors"]:
+                name, shape = entry
+                if name.startswith(("char_filters_w", "char_bias_w")):
+                    shape[0] = f
+                elif name.startswith("gru_"):
+                    entry[1] = {"w": [h, d], "u": [h, h], "b": [h]}[name.split(".")[1][0]]
+                elif name == "dense.w":
+                    entry[1] = [3, 2 * h]
+
+        def zeros(header, payload):
+            return bytes(8 * sum(math.prod(shape) for _, shape in header["tensors"]))
+
+        self._assert_rejected(trained, tmp_path, capsys, edit, f"{size} must be >= 1", zeros)
+
+    @pytest.mark.parametrize("edit, edit_payload, needle", [
+        (lambda h: h.update(word_table_trainable=1), None, "word_table_trainable is not"),
+        (lambda h: h["dims"].update(hidden=8.0), None, "dims must be integers"),
+        (lambda h: h["tensors"][-1].__setitem__(1, [3.0]), None, "shapes are not integer"),
+        (None, lambda h, p: p[:-8] + struct.pack("<d", math.nan), "dense.b contains non-finite"),
+        (None, lambda h, p: p[:-24], "truncated while reading tensor dense.b"),
+        (None, lambda h, p: p + bytes(8), "trailing bytes"),
+    ], ids=["trainable-flag", "float-dim", "float-shape", "nan-value", "tensor-short",
+            "trailing-bytes"])
+    def test_archive_guard(self, edit, edit_payload, needle, trained, tmp_path, capsys):
+        self._assert_rejected(trained, tmp_path, capsys, edit, needle, edit_payload)
 
     @staticmethod
-    def _assert_rejected(trained, tmp_path, capsys, edit, needle):
-        """Edit the header of a copy of the archive, checksum it again, and
-        expect tag to exit 2 with a one-line message."""
+    def _assert_rejected(trained, tmp_path, capsys, edit, needle, edit_payload=None):
+        """Edit the header and then the payload (``edit_payload(header,
+        payload)`` returns the new bytes) of a copy of the archive, checksum it
+        again, and expect tag to exit 2 with a one-line message and
+        load_model to raise ArchiveError."""
         blob = trained.read_bytes()
         (header_len,) = struct.unpack("<Q", blob[12:20])
         header = json.loads(blob[20 : 20 + header_len])
-        edit(header)
+        if edit is not None:
+            edit(header)
+        payload = blob[20 + header_len : -32]
+        if edit_payload is not None:
+            payload = edit_payload(header, payload)
         raw = json.dumps(header, sort_keys=True).encode("utf-8")
-        body = blob[:12] + struct.pack("<Q", len(raw)) + raw + blob[20 + header_len : -32]
+        body = blob[:12] + struct.pack("<Q", len(raw)) + raw + payload
         edited = tmp_path / "edited.bin"
         edited.write_bytes(body + hashlib.sha256(body).digest())
         capsys.readouterr()
@@ -340,7 +382,8 @@ class TestTagCommand:
         err = capsys.readouterr().err
         assert err.startswith("clinspan: data error:") and err.count("\n") == 1
         assert needle in err
-        return edited
+        with pytest.raises(ArchiveError, match=re.escape(needle)):
+            load_model(str(edited))
 
 
 class TestEvalCommand:

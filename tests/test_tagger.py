@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from clinspan import neural, tagger
 from clinspan.chunking import ChunkConfig, chunk_sentence
-from clinspan.corpus import UNK_INDEX, build_vocab, count_spans, stratified_split
+from clinspan.corpus import UNK_INDEX, ConceptSpan, build_vocab, decode_iob, stratified_split
 from clinspan.features import EmbeddingTable
 from clinspan.metrics import prf, span_match_counts
 from clinspan.neural import (
@@ -33,21 +33,18 @@ from clinspan.tagger import (
     ArchiveError,
     ArchiveVersionError,
     EVAL_BATCH,
-    ConceptSpan,
     TrainConfig,
     annotate_sentence,
-    decode_iob,
     format_history,
     gold_spans,
     load_model,
     predict_corpus_labels,
     save_model,
-    spans_to_iob,
     train,
     write_atomic,
 )
 
-from conftest import make_corpus, make_sentence, parse_text
+from conftest import count_spans, make_corpus, make_sentence, parse_text, spans_to_iob
 
 
 class TestDecodeIob:
@@ -439,7 +436,7 @@ class TestPersistence:
             loaded.gru_u[0, 0, 0] = 1.0
         grads = {n: np.ones_like(t) for n, t in named_tensors(loaded) if n != "word_table"}
         with pytest.raises(ValueError, match="read-only"):
-            adam_step(loaded, grads, AdamState.for_model(loaded))
+            adam_step(loaded, grads, AdamState.for_model(loaded), lr=0.001)
 
     def test_clone_of_loaded_model_trains(self, tmp_path):
         _, _, _, path = self._trained_pair(tmp_path)
