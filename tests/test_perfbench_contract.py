@@ -41,12 +41,9 @@ def bench():
             sys.modules.pop(name, None)
 
 
-def _named(spans):
-    return [(module, attr) for module, attr, _ in spans.PATCHED + spans.ENTRY]
-
-
 def test_patched_and_entry_names_resolve(bench):
-    for module, attr in _named(bench["spans"]):
+    spans = bench["spans"]
+    for module, attr, _ in spans.PATCHED + spans.ENTRY:
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
 
 
