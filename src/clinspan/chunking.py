@@ -2,8 +2,11 @@
 
 A sentence of L tokens becomes chunks of ``window`` slots starting every
 ``window - overlap`` tokens; the final chunk is right-padded so slot
-arithmetic stays uniform.  Chunks never cross sentence boundaries.  All
-functions are pure.
+arithmetic stays uniform.  Chunks never cross sentence boundaries.  A
+chunk's word, POS, label and mask arrays are read-only views into arrays
+built once per sentence, and its char-id arrays are the sentence's own, so
+overlapping chunks share memory.  A chunk's ``sentence_offset`` is its only
+position.  All functions are pure.
 """
 from __future__ import annotations
 
@@ -37,8 +40,11 @@ class PaddedChunk:
     """One window over a sentence: index arrays plus padding bookkeeping.
 
     Real slots form a contiguous prefix; ``sentence_offset`` is the sentence
-    position of slot 0 and always equals ``chunk_ordinal * stride``.  Labels
-    are tag indices with -1 on pad slots (None for unlabeled input).
+    position of slot 0, and the chunks of a sentence sit at offsets 0,
+    stride, 2*stride, ...  The arrays from ``chunk_sentence`` are shared
+    with the overlapping neighbours, and all but the char ids are read-only
+    views.  Labels are tag indices with -1 on pad slots (None for unlabeled
+    input).
     """
 
     word_ids: np.ndarray  # (window,) int64
@@ -46,7 +52,6 @@ class PaddedChunk:
     char_ids: tuple[np.ndarray, ...]  # per slot, empty for pad slots
     mask: np.ndarray  # (window,) bool
     sentence_offset: int
-    chunk_ordinal: int
     labels: np.ndarray | None = None  # (window,) int64, -1 at pads
 
     @property
@@ -73,36 +78,31 @@ def chunk_sentence(
     if len(sentence) == 0:
         raise ValueError("cannot chunk an empty sentence")
     length = len(sentence)
-    word_ids = np.array([vocab.word_index(t.surface) for t in sentence.tokens], dtype=np.int64)
-    pos_ids = np.array([vocab.pos_index(t.pos) for t in sentence.tokens], dtype=np.int64)
-    char_ids = [vocab.char_indices(t.surface) for t in sentence.tokens]
-    label_ids = np.array([LABEL_TO_INDEX[t.label] for t in sentence.tokens], dtype=np.int64)
+    n_chunks = chunk_count(length, config)
+    padded = (n_chunks - 1) * config.stride + config.window
+    word_ids = np.zeros(padded, dtype=np.int64)
+    pos_ids = np.zeros(padded, dtype=np.int64)
+    label_ids = np.full(padded, -1, dtype=np.int64)
+    word_ids[:length] = [vocab.word_index(t.surface) for t in sentence.tokens]
+    pos_ids[:length] = [vocab.pos_index(t.pos) for t in sentence.tokens]
+    label_ids[:length] = [LABEL_TO_INDEX[t.label] for t in sentence.tokens]
+    mask = np.arange(padded) < length
+    char_ids = tuple(vocab.char_indices(t.surface) for t in sentence.tokens)
+    char_ids += (np.zeros(0, dtype=np.int64),) * (padded - length)
+    for arr in (word_ids, pos_ids, label_ids, mask):
+        arr.setflags(write=False)  # overlapping chunks share these arrays
 
     chunks = []
-    for ordinal in range(chunk_count(length, config)):
-        start = ordinal * config.stride
-        real = min(config.window, length - start)
-        w = np.zeros(config.window, dtype=np.int64)
-        p = np.zeros(config.window, dtype=np.int64)
-        y = np.full(config.window, -1, dtype=np.int64)
-        w[:real] = word_ids[start : start + real]
-        p[:real] = pos_ids[start : start + real]
-        y[:real] = label_ids[start : start + real]
-        mask = np.zeros(config.window, dtype=bool)
-        mask[:real] = True
-        empty = np.zeros(0, dtype=np.int64)
-        chars = tuple(
-            char_ids[start + i] if i < real else empty for i in range(config.window)
-        )
+    for start in range(0, n_chunks * config.stride, config.stride):
+        view = slice(start, start + config.window)
         chunks.append(
             PaddedChunk(
-                word_ids=w,
-                pos_ids=p,
-                char_ids=chars,
-                mask=mask,
+                word_ids=word_ids[view],
+                pos_ids=pos_ids[view],
+                char_ids=char_ids[view],
+                mask=mask[view],
                 sentence_offset=start,
-                chunk_ordinal=ordinal,
-                labels=y,
+                labels=label_ids[view],
             )
         )
     return chunks
@@ -119,19 +119,13 @@ def merge_chunk_predictions(
     """
     if not chunks:
         raise ValueError("no chunks to merge")
-    ordered = sorted(chunks, key=lambda pair: pair[0].chunk_ordinal)
-    stride = None
-    for i, (chunk, tags) in enumerate(ordered):
-        if chunk.chunk_ordinal != i:
-            raise ValueError(
-                f"chunk ordinals must form 0..n-1 without gaps; missing ordinal {i}"
-            )
-        if len(tags) < chunk.real_count:
-            raise ValueError("tag sequence shorter than the chunk's real slots")
-        if i == 1:
-            stride = ordered[1][0].sentence_offset - ordered[0][0].sentence_offset
-        if i >= 1 and chunk.sentence_offset != i * stride:
-            raise ValueError("chunk offsets are inconsistent with their ordinals")
+    ordered = sorted(chunks, key=lambda pair: pair[0].sentence_offset)
+    offsets = [chunk.sentence_offset for chunk, _ in ordered]
+    stride = offsets[1] if len(offsets) > 1 else 1
+    if stride <= 0 or offsets != list(range(0, stride * len(offsets), stride)):
+        raise ValueError(f"chunk offsets must be 0, s, 2s, ... with one s > 0; got {offsets}")
+    if any(len(tags) < chunk.real_count for chunk, tags in ordered):
+        raise ValueError("tag sequence shorter than the chunk's real slots")
 
     last_chunk = ordered[-1][0]
     length = last_chunk.sentence_offset + last_chunk.real_count

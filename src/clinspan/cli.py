@@ -90,10 +90,8 @@ def _coerce(key: str, raw: str):
 
 def load_config_file(path: str) -> dict:
     values = {}
-    try:
+    with _reading(path, "config file", not_utf8=ConfigError):
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for line_number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -139,12 +137,30 @@ def _writing(path: str):
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def _read_corpus(path: str, require_labels: bool = True) -> AnnotatedCorpus:
+@contextmanager
+def _reading(path: str, what: str, not_utf8: type[Exception] = DataError):
+    """An unreadable file is a ConfigError; bytes that are not UTF-8 raise
+    ``not_utf8`` naming the offset and line of the first bad byte."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_corpus(fh, require_labels=require_labels)
+        yield
     except OSError as exc:
-        raise ConfigError(f"cannot read corpus {path}: {exc}") from None
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise not_utf8(
+                f"{what} {path} is not UTF-8: byte 0x{data[exc.start]:02x} "
+                f"at offset {exc.start} (line {line})"
+            ) from None
+        raise
+
+
+def _read_corpus(path: str, require_labels: bool = True) -> AnnotatedCorpus:
+    with _reading(path, "corpus"), open(path, "r", encoding="utf-8") as fh:
+        return parse_corpus(fh, require_labels=require_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +188,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if len(corpus.sentences) == 0:
         raise DataError(f"corpus {paths['corpus']} contains no sentences")
     vocab = build_vocab(corpus, config.min_count)
-    try:
-        with open(paths["embeddings"], "r", encoding="utf-8") as fh:
-            embeddings = load_embeddings(fh, vocab)
-    except OSError as exc:
-        raise ConfigError(f"cannot read embeddings {paths['embeddings']}: {exc}") from None
+    embeddings_path = paths["embeddings"]
+    with _reading(embeddings_path, "embeddings"), open(embeddings_path, encoding="utf-8") as fh:
+        embeddings = load_embeddings(fh, vocab)
 
     model, history = train(corpus, embeddings, config, vocab=vocab)
     with _writing(model_path):
@@ -262,10 +276,8 @@ def _eval_corpus_mode(gold_path: str, system_path: str) -> metrics.EvalResult:
 
 def _read_span_file(path: str) -> dict[tuple[str, int], list[tuple[int, int]]]:
     spans: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    try:
+    with _reading(path, "span file"):
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read span file {path}: {exc}") from None
     for line_number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -277,6 +289,8 @@ def _read_span_file(path: str) -> dict[tuple[str, int], list[tuple[int, int]]]:
             span = (int(parts[2]), int(parts[3]))
         except ValueError:
             raise ParseError("non-integer span field", line_number) from None
+        if not 0 <= span[0] < span[1]:
+            raise ParseError(f"invalid span {span}: need 0 <= start < end", line_number)
         spans.setdefault(key, []).append(span)
     return spans
 
@@ -287,7 +301,10 @@ def _eval_span_mode(gold_path: str, system_path: str) -> metrics.EvalResult:
     keys = sorted(set(gold) | set(system))
     gold_lists = [gold.get(k, []) for k in keys]
     system_lists = [system.get(k, []) for k in keys]
-    return metrics.evaluate(gold_lists, system_lists)
+    try:
+        return metrics.evaluate(gold_lists, system_lists)
+    except ValueError as exc:  # overlapping spans within one sentence
+        raise DataError(str(exc)) from None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -332,29 +332,22 @@ def stratified_split(
     quotas = {c: len(members) * n_valid / n for c, members in groups.items()}
     alloc = {c: int(np.floor(q)) for c, q in quotas.items()}
     leftover = n_valid - sum(alloc.values())
-    # Hand out remaining slots by largest fractional remainder; ties broken by
-    # group size then span count for determinism.
+    # Hand out the leftover slots by largest fractional remainder; ties broken
+    # by group size then span count for determinism.  The leftover is the sum
+    # of the remainders, each below 1, so more groups have a positive
+    # remainder than there are leftover slots; those sort first, and each has
+    # room for one more (alloc < quota <= size).
     by_remainder = sorted(
         groups,
         key=lambda c: (quotas[c] - alloc[c], len(groups[c]), -c),
         reverse=True,
     )
-    for c in by_remainder:
-        if leftover <= 0:
-            break
-        if alloc[c] < len(groups[c]):
-            alloc[c] += 1
-            leftover -= 1
+    for c in by_remainder[:leftover]:
+        alloc[c] += 1
 
     valid_idx: set[int] = set()
     for c, members in groups.items():
         valid_idx.update(members[: alloc[c]])
-    # Degenerate corner: remainder capping left slots unassigned.
-    if len(valid_idx) < n_valid:
-        for idx in order:
-            if len(valid_idx) >= n_valid:
-                break
-            valid_idx.add(int(idx))
 
     train_sents = tuple(s for i, s in enumerate(corpus.sentences) if i not in valid_idx)
     valid_sents = tuple(s for i, s in enumerate(corpus.sentences) if i in valid_idx)

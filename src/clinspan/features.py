@@ -76,9 +76,11 @@ class CharTrace:
 def load_embeddings(stream, vocab: Vocabulary) -> EmbeddingTable:
     """Load word2vec-style text embeddings aligned to the vocabulary.
 
-    Header line ``V D`` then lines ``word v1 ... vD``.  Vocabulary words
-    missing from the file get a reproducible pseudo-random row drawn uniform
-    in [-0.5/D, 0.5/D] from a hash of the word, so every load is identical.
+    Header line ``V D`` then lines ``word v1 ... vD``; a value that is not a
+    finite float (``nan``, ``inf``, ``1e309``) is a ParseError.  Vocabulary
+    words missing from the file get a reproducible pseudo-random row drawn
+    uniform in [-0.5/D, 0.5/D] from a hash of the word, so every load is
+    identical.
     """
     lines = iter(enumerate(stream, start=1))
     try:
@@ -106,9 +108,12 @@ def load_embeddings(stream, vocab: Vocabulary) -> EmbeddingTable:
                 line_number,
             )
         try:
-            file_rows[fields[0]] = np.array(fields[1:], dtype=np.float64)
+            row = np.array(fields[1:], dtype=np.float64)
         except ValueError:
             raise ParseError("non-numeric embedding value", line_number) from None
+        if not np.isfinite(row).all():
+            raise ParseError("non-finite embedding value", line_number)
+        file_rows[fields[0]] = row
 
     matrix = np.zeros((vocab.word_size, dim), dtype=np.float64)
     for word, index in vocab.word_to_index.items():

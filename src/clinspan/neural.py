@@ -974,7 +974,6 @@ def build_probe(
         char_ids=tuple(chars),
         mask=mask,
         sentence_offset=0,
-        chunk_ordinal=0,
         labels=labels,
     )
     return model, chunk

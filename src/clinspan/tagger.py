@@ -159,19 +159,6 @@ def _argmax_tags(probs: np.ndarray, mask: np.ndarray) -> list[list[str]]:
     return out
 
 
-def _chunk_sentences(
-    sentences: Sequence[AnnotatedSentence], vocab: Vocabulary, config: ChunkConfig
-) -> tuple[list[PaddedChunk], list[int]]:
-    """All chunks of the sentences in order, and the sentence index of each."""
-    chunks: list[PaddedChunk] = []
-    owners: list[int] = []
-    for i, sentence in enumerate(sentences):
-        pieces = chunk_sentence(sentence, vocab, config)
-        chunks.extend(pieces)
-        owners.extend([i] * len(pieces))
-    return chunks, owners
-
-
 def _evaluate_chunks(
     model: ModelParameters, chunks: Sequence[PaddedChunk], batch_size: int = EVAL_BATCH
 ) -> tuple[float, list[list[str]]]:
@@ -188,12 +175,11 @@ def _evaluate_chunks(
 
 
 def _merge_by_sentence(
-    chunks: Sequence[PaddedChunk], chunk_tags: list[list[str]], owners: list[int], n: int
+    per_sentence: Sequence[list[PaddedChunk]], chunk_tags: list[list[str]]
 ) -> list[list[str]]:
-    per_sentence: list[list[tuple[PaddedChunk, list[str]]]] = [[] for _ in range(n)]
-    for chunk, tags, owner in zip(chunks, chunk_tags, owners):
-        per_sentence[owner].append((chunk, tags))
-    return [merge_chunk_predictions(pairs) for pairs in per_sentence]
+    """Merged tags per sentence; ``chunk_tags`` follows the chunks in sentence order."""
+    tags = iter(chunk_tags)
+    return [merge_chunk_predictions([(c, next(tags)) for c in chunks]) for chunks in per_sentence]
 
 
 def predict_corpus_labels(
@@ -204,9 +190,9 @@ def predict_corpus_labels(
     batch_size: int = EVAL_BATCH,
 ) -> list[list[str]]:
     """Dropout-free predicted tag sequences, one per sentence."""
-    chunks, owners = _chunk_sentences(sentences, vocab, config)
-    _, chunk_tags = _evaluate_chunks(model, chunks, batch_size)
-    return _merge_by_sentence(chunks, chunk_tags, owners, len(sentences))
+    per_sentence = [chunk_sentence(s, vocab, config) for s in sentences]
+    _, chunk_tags = _evaluate_chunks(model, [c for cs in per_sentence for c in cs], batch_size)
+    return _merge_by_sentence(per_sentence, chunk_tags)
 
 
 def annotate_sentence(
@@ -268,8 +254,9 @@ def train(
     )
     model = init_parameters(dims, vocab, word_table, rng)
 
-    train_chunks, _ = _chunk_sentences(train_sents, vocab, chunk_config)
-    valid_chunks, valid_owners = _chunk_sentences(valid_sents, vocab, chunk_config)
+    train_chunks = [c for s in train_sents for c in chunk_sentence(s, vocab, chunk_config)]
+    valid_per_sentence = [chunk_sentence(s, vocab, chunk_config) for s in valid_sents]
+    valid_chunks = [c for cs in valid_per_sentence for c in cs]
     valid_gold = [[(s.start, s.end) for s in gold_spans(sent)] for sent in valid_sents]
     if all((c.labels < 0).all() or (c.labels[c.mask] == 2).all() for c in train_chunks):
         warnings.warn("training data contains no concept spans", stacklevel=2)
@@ -299,7 +286,7 @@ def train(
         train_loss, _ = _evaluate_chunks(model, train_chunks)
         if valid_sents:
             valid_loss, chunk_tags = _evaluate_chunks(model, valid_chunks)
-            predicted = _merge_by_sentence(valid_chunks, chunk_tags, valid_owners, len(valid_sents))
+            predicted = _merge_by_sentence(valid_per_sentence, chunk_tags)
             pred = [[(s.start, s.end) for s in decode_iob(tags)] for tags in predicted]
             _, _, valid_f1 = metrics.prf(metrics.span_match_counts(valid_gold, pred))
         else:

@@ -123,8 +123,8 @@ def test_criterion_3_chunking_conformance():
             chunks = chunk_sentence(sentence, vocab, config)
             assert len(chunks) == chunk_count(length, config)
             covered = np.zeros(length, dtype=bool)
-            for chunk in chunks:
-                assert chunk.sentence_offset == chunk.chunk_ordinal * 17
+            for i, chunk in enumerate(chunks):
+                assert chunk.sentence_offset == i * 17
                 covered[chunk.sentence_offset : chunk.sentence_offset + chunk.real_count] = True
             assert covered.all()
             for a, b in zip(chunks, chunks[1:]):

@@ -92,14 +92,24 @@ class TestChunkSentence:
 
     def test_offset_identity(self):
         sentence, vocab = _sentence_and_vocab(100)
-        for chunk in chunk_sentence(sentence, vocab, DEFAULT):
-            assert chunk.sentence_offset == chunk.chunk_ordinal * DEFAULT.stride
+        for i, chunk in enumerate(chunk_sentence(sentence, vocab, DEFAULT)):
+            assert chunk.sentence_offset == i * DEFAULT.stride
 
     def test_real_slots_are_contiguous_prefix(self):
         sentence, vocab = _sentence_and_vocab(40)
         for chunk in chunk_sentence(sentence, vocab, DEFAULT):
             mask = chunk.mask.astype(int)
             assert (np.diff(mask) <= 0).all()
+
+    def test_chunks_are_read_only_views_of_one_array(self):
+        sentence, vocab = _sentence_and_vocab(36)
+        first, second = chunk_sentence(sentence, vocab, DEFAULT)
+        for name in ("word_ids", "pos_ids", "mask", "labels"):
+            a, b = getattr(first, name), getattr(second, name)
+            assert a.base is not None and a.base is b.base
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+        assert second.char_ids[0] is first.char_ids[17]
 
     def test_empty_sentence_rejected(self):
         sentence, vocab = _sentence_and_vocab(1)
@@ -120,8 +130,8 @@ class TestCoverageProperties:
             chunks = chunk_sentence(sentence, vocab, DEFAULT)
             assert len(chunks) == chunk_count(length, DEFAULT)
             covered = np.zeros(length, dtype=int)
-            for chunk in chunks:
-                assert chunk.sentence_offset == chunk.chunk_ordinal * 17
+            for i, chunk in enumerate(chunks):
+                assert chunk.sentence_offset == i * 17
                 covered[chunk.sentence_offset : chunk.sentence_offset + chunk.real_count] += 1
             assert (covered >= 1).all()
             for a, b in zip(chunks, chunks[1:]):
@@ -179,11 +189,20 @@ class TestMergePredictions:
         merged = merge_chunk_predictions(self._two_chunk_pairs(tags0, tags1))
         assert merged[18] == "B"
 
-    def test_missing_ordinal_rejected(self):
+    def test_missing_chunk_rejected(self):
         sentence, vocab = _sentence_and_vocab(54)
         chunks = chunk_sentence(sentence, vocab, DEFAULT)
         pairs = [(chunks[0], ["O"] * 19), (chunks[2], ["O"] * 19)]
-        with pytest.raises(ValueError, match="ordinal"):
+        with pytest.raises(ValueError, match="cover"):
+            merge_chunk_predictions(pairs)
+
+    @pytest.mark.parametrize("picks", [(0, 0), (0, 1, 1), (0, 1, 3)])
+    def test_repeated_or_skipped_offset_rejected(self, picks):
+        # (0, 0) would pass as stride 0 if the stride were not required > 0.
+        sentence, vocab = _sentence_and_vocab(70)
+        chunks = chunk_sentence(sentence, vocab, DEFAULT)
+        pairs = [(chunks[i], ["O"] * 19) for i in picks]
+        with pytest.raises(ValueError, match="offsets"):
             merge_chunk_predictions(pairs)
 
     def test_short_tag_sequence_rejected(self):

@@ -449,6 +449,42 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[1] == "0.50 0.50 0.50 -"
 
+    @pytest.mark.parametrize("line", ["0 1 3 2", "0 1 2 2", "0 1 -1 2"])
+    def test_bad_span_interval_is_data_error(self, line, tmp_path, capsys):
+        spans = tmp_path / "bad.spans"
+        spans.write_text(f"0 0 0 4\n{line}\n")
+        assert run("eval", "--gold", str(spans), "--system", str(spans),
+                   "--format", "spans") == 2
+        assert_one_line(capsys, "clinspan: data error: line 2: invalid span")
+
+    def test_overlapping_spans_are_data_error(self, tmp_path, capsys):
+        spans = tmp_path / "overlap.spans"
+        spans.write_text("0 0 0 3\n0 0 2 4\n")
+        assert run("eval", "--gold", str(spans), "--system", str(spans),
+                   "--format", "spans") == 2
+        assert_one_line(capsys, "clinspan: data error: gold spans overlap")
+
+
+@pytest.mark.parametrize(
+    "what,code,argv",
+    [
+        ("corpus", 2, lambda bad, tmp: ("stats", bad)),
+        ("embeddings", 2, lambda bad, tmp: train_args(tmp / "m.bin", "--embeddings", bad)),
+        ("span file", 2, lambda bad, tmp: ("eval", "--gold", bad, "--system", bad,
+                                           "--format", "spans")),
+        ("config file", 1, lambda bad, tmp: ("train", "--config", bad)),
+    ],
+    ids=["corpus", "embeddings", "span-file", "config-file"],
+)
+def test_non_utf8_input_names_file_and_byte(what, code, argv, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"fever N B\n\xff\xfe N O\n")
+    assert run(*argv(str(bad), tmp_path)) == code
+    kind = "config error" if code == 1 else "data error"
+    assert_one_line(
+        capsys, f"clinspan: {kind}: {what} {bad} is not UTF-8: byte 0xff at offset 10 (line 2)"
+    )
+
 
 class TestGradcheckCommand:
     def test_default_passes(self, capsys):

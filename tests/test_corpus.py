@@ -234,6 +234,8 @@ class TestStratifiedSplit:
         )
         assert tuple(combined) == corpus.sentences
         assert not set(result.train.sentences) & set(result.valid.sentences)
+        n_valid = min(max(int(round(n * frac)), 1), n - 1)
+        assert len(result.valid.sentences) == n_valid
 
     def test_invalid_fraction_rejected(self):
         corpus = _split_fixture()

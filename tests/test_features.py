@@ -56,6 +56,13 @@ class TestLoadEmbeddings:
             load_embeddings(io.StringIO("2 4\nmg 1 2 3 4\ndose 1 2 3 4 5\n"), vocab)
         assert err.value.line_number == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_value_reports_line(self, value):
+        vocab = _vocab()
+        with pytest.raises(ParseError, match="non-finite") as err:
+            load_embeddings(io.StringIO(f"2 2\nmg 1 2\ndose 1 {value}\n"), vocab)
+        assert err.value.line_number == 3
+
     def test_bad_header_rejected(self):
         vocab = _vocab()
         for header in ("", "4", "a b"):

@@ -310,7 +310,6 @@ class TestBackward:
             char_ids=tuple(chunk.char_ids) + (empty,) * pad,
             mask=np.concatenate([chunk.mask, np.zeros(pad, dtype=bool)]),
             sentence_offset=0,
-            chunk_ordinal=0,
             labels=np.concatenate([chunk.labels, np.full(pad, -1, dtype=np.int64)]),
         )
         grads_wide = backward(model, wider)
@@ -556,7 +555,6 @@ def _chunk(chars, labels, window=7, seed=0):
         char_ids=tuple(np.asarray(c, dtype=np.int64) for c in chars) + (empty,) * (window - real),
         mask=mask,
         sentence_offset=0,
-        chunk_ordinal=0,
         labels=np.where(mask, np.resize(np.asarray(labels, dtype=np.int64), window), -1),
     )
 
