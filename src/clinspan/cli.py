@@ -7,6 +7,7 @@ mirror the command-line flags; flags override file values.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import bisect
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -274,8 +275,11 @@ def _eval_corpus_mode(gold_path: str, system_path: str) -> metrics.EvalResult:
     )
 
 
-def _read_span_file(path: str) -> dict[tuple[str, int], list[tuple[int, int]]]:
-    spans: dict[tuple[str, int], list[tuple[int, int]]] = {}
+def _read_span_file(path: str, which: str) -> dict[tuple[str, int], list[tuple[int, int]]]:
+    """Spans by (doc id, sentence index), each list sorted.  Raises DataError
+    naming the file, the sentence and both lines when two spans of one
+    sentence overlap."""
+    spans: dict[tuple[str, int], list[tuple[int, int, int]]] = {}  # (start, end, line)
     with _reading(path, "span file"):
         text = Path(path).read_text(encoding="utf-8")
     for line_number, line in enumerate(text.splitlines(), start=1):
@@ -291,20 +295,25 @@ def _read_span_file(path: str) -> dict[tuple[str, int], list[tuple[int, int]]]:
             raise ParseError("non-integer span field", line_number) from None
         if not 0 <= span[0] < span[1]:
             raise ParseError(f"invalid span {span}: need 0 <= start < end", line_number)
-        spans.setdefault(key, []).append(span)
-    return spans
+        found = spans.setdefault(key, [])
+        i = bisect.bisect_left(found, span)
+        # The spans found so far do not overlap, so only the neighbours can.
+        for start, end, other in found[max(i - 1, 0) : i + 1]:
+            if start < span[1] and span[0] < end:
+                raise DataError(
+                    f"{which} spans overlap: {path} line {line_number}: "
+                    f"[{span[0]}, {span[1]}) overlaps [{start}, {end}) of line {other} "
+                    f"in doc {key[0]} sentence {key[1]}"
+                )
+        found.insert(i, (*span, line_number))
+    return {key: [(start, end) for start, end, _ in found] for key, found in spans.items()}
 
 
 def _eval_span_mode(gold_path: str, system_path: str) -> metrics.EvalResult:
-    gold = _read_span_file(gold_path)
-    system = _read_span_file(system_path)
+    gold = _read_span_file(gold_path, "gold")
+    system = _read_span_file(system_path, "system")
     keys = sorted(set(gold) | set(system))
-    gold_lists = [gold.get(k, []) for k in keys]
-    system_lists = [system.get(k, []) for k in keys]
-    try:
-        return metrics.evaluate(gold_lists, system_lists)
-    except ValueError as exc:  # overlapping spans within one sentence
-        raise DataError(str(exc)) from None
+    return metrics.evaluate([gold.get(k, []) for k in keys], [system.get(k, []) for k in keys])
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -42,14 +42,23 @@ length, longest first, so the chunks still running at step k are a prefix
 of that order, and step k reads position k for the forward direction and
 position L - 1 - k for the backward one.  Both directions therefore have
 the same running rows at every step, the loop runs max(L) steps, and no pad
-slot is computed.  One stacked (2, R, D) x (2, D, 3H) GEMM projects the R
-real slots for both directions before the loop; each step then does one
-stacked (2, n, H) GEMM for z | r, one for the candidate, and one set of
-elementwise ops for both directions, reading the previous state from the
-prior step's packed rows.  The backward loop carries only dh and keeps every packed row's
-z | r | h pre-activation deltas, so the weight, bias and input gradients
-are one GEMM each after the loop (the fused-gate layout of Appleyard,
-Kocisky & Blunsom 2016, arXiv:1604.01946).
+slot is computed.  One loop body takes a slice of directions, ``0:2`` or
+one of ``0:1`` and ``1:2``, and keeps the (k, n, ...) shapes either way: a
+(k, R, D) x (k, D, 3H) GEMM projects the R real slots before the time
+steps, and each step does one (k, n, H) GEMM for z | r, one for the
+candidate, and one set of elementwise ops, reading the previous state from
+the prior step's packed rows.  The two directions share no data until the
+concat, so a batch of at least ``PARALLEL_ROWS`` real slots on a process
+allowed two or more CPUs runs direction 1 on a helper thread and direction
+0 in the caller (numpy releases the GIL inside BLAS and ufunc loops), then
+joins; smaller batches, and every batch on one CPU, run the stacked ``0:2``
+loop.  Each direction makes the same calls on the same slices either way,
+so the outputs are the same bytes.  The backward loop stays single-threaded:
+it carries only dh and keeps every packed row's z | r | h pre-activation
+deltas, so the weight, bias and input gradients are one GEMM each after the
+loop (the fused-gate layout of Appleyard, Kocisky & Blunsom 2016,
+arXiv:1604.01946, who also run the directions of a bidirectional RNN
+concurrently).
 
 Tensor inventory: ``tensor_shapes`` gives each tensor's name and shape in
 ``named_tensors`` (archive payload) order, and ``model_from_tensors``, the
@@ -60,11 +69,18 @@ nothing.  A different order would give every seed a different model.
 
 Phase separation contract: forward/backward over distinct chunks may run
 concurrently against a frozen parameter snapshot; the optimizer step is the
-single writer and must not interleave with reads.
+single writer and must not interleave with reads.  One forward may use one
+helper thread of its own, joined before it returns; the helper runs in a
+copy of the caller's context (so the caller's ``np.errstate`` holds there),
+its exception is re-raised in the caller, and it calls only numpy.  BLAS
+itself is left at whatever thread count the process set.
 """
 from __future__ import annotations
 
+import contextvars
 import hashlib
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -92,6 +108,13 @@ GRADCHECK_COORDS = 20  # coordinates sampled per trainable tensor
 
 # Tables whose row 0 (PAD) stays exactly zero through training.
 FROZEN_ROW_TABLES = ("word_table", "pos_table", "char_table")
+
+# A forward over at least this many real slots runs its two GRU directions
+# on two threads (see the module docstring); below it the thread costs more
+# than it saves.
+PARALLEL_ROWS = 384
+# CPUs this process may run on, read once.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class NumericError(RuntimeError):
@@ -421,22 +444,26 @@ def _pack(mask: np.ndarray) -> Packing:
     return Packing(slot_i, slot_t, order, offsets, rows)
 
 
-def _bigru_forward(
-    model: ModelParameters, x: np.ndarray, pack: Packing, rec: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both GRU directions over the packed real slots of a batch.
-
-    Returns the gate activations z | r | candidate (2, R, 3H) and the states
-    (2, R, H), both by packed row.
-    """
+def _gru_directions(
+    model: ModelParameters,
+    x: np.ndarray,
+    pack: Packing,
+    rec: np.ndarray | None,
+    gates: np.ndarray,
+    states: np.ndarray,
+    dirs: slice,
+) -> None:
+    """The GRU directions ``dirs`` (``0:2`` both, ``0:1`` or ``1:2`` one) over
+    the packed rows, written into ``gates[dirs]`` and ``states[dirs]``."""
     h = model.dims.hidden
-    gates = x[pack.rows] @ model.gru_w.transpose(0, 2, 1)
-    gates += model.gru_b[:, None]
-    u_zr = model.gru_u[:, : 2 * h].transpose(0, 2, 1)
-    u_h = model.gru_u[:, 2 * h :].transpose(0, 2, 1)
-    states = np.empty((2, x.shape[0], h))
+    gates, states = gates[dirs], states[dirs]
+    np.matmul(x[pack.rows[dirs]], model.gru_w[dirs].transpose(0, 2, 1), out=gates)
+    gates += model.gru_b[dirs, None]
+    u_zr = model.gru_u[dirs, : 2 * h].transpose(0, 2, 1)
+    u_h = model.gru_u[dirs, 2 * h :].transpose(0, 2, 1)
+    rec = rec[dirs] if rec is not None else None
     offsets = pack.offsets.tolist()
-    h_prev = np.zeros((2, offsets[1] if len(offsets) > 1 else 0, h))
+    h_prev = np.zeros((gates.shape[0], offsets[1] if len(offsets) > 1 else 0, h))
     for lo, hi in zip(offsets, offsets[1:]):
         n = hi - lo
         hp = h_prev[:, :n]
@@ -451,6 +478,41 @@ def _bigru_forward(
         pre_h += g[..., 2 * h :]
         candidate = g[..., 2 * h :] = np.tanh(pre_h)
         h_prev = states[:, lo:hi] = (1.0 - z) * hp + z * candidate
+
+
+def _bigru_forward(
+    model: ModelParameters, x: np.ndarray, pack: Packing, rec: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both GRU directions over the packed real slots of a batch.
+
+    Returns the gate activations z | r | candidate (2, R, 3H) and the states
+    (2, R, H), both by packed row.  With at least ``PARALLEL_ROWS`` rows and
+    two usable CPUs, the backward direction runs on a helper thread while the
+    caller runs the forward one; the outputs are the same bytes either way.
+    """
+    h = model.dims.hidden
+    gates = np.empty((2, x.shape[0], 3 * h))
+    states = np.empty((2, x.shape[0], h))
+    if x.shape[0] < PARALLEL_ROWS or _CPUS < 2:
+        _gru_directions(model, x, pack, rec, gates, states, slice(0, 2))
+        return gates, states
+    failure: list[BaseException] = []
+
+    def backward_direction() -> None:
+        try:
+            _gru_directions(model, x, pack, rec, gates, states, slice(1, 2))
+        except BaseException as exc:  # re-raised in the caller
+            failure.append(exc)
+
+    # The copied context carries the caller's np.errstate into the helper.
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(backward_direction,))
+    helper.start()
+    try:
+        _gru_directions(model, x, pack, rec, gates, states, slice(0, 1))
+    finally:
+        helper.join()
+    if failure:
+        raise failure[0]
     return gates, states
 
 

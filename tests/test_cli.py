@@ -464,6 +464,25 @@ class TestEvalCommand:
                    "--format", "spans") == 2
         assert_one_line(capsys, "clinspan: data error: gold spans overlap")
 
+    @pytest.mark.parametrize("lines, expected", [
+        (["d1 3 5 8", "d1 4 0 2", "d1 3 0 6"], "line 3: [0, 6) overlaps [5, 8) of line 1 "
+                                               "in doc d1 sentence 3"),
+        (["d1 3 0 2", "", "d1 3 0 2"], "line 3: [0, 2) overlaps [0, 2) of line 1 "
+                                       "in doc d1 sentence 3"),
+        (["d2 0 0 2", "d2 0 6 9", "d2 0 2 6", "d2 0 5 7"], "line 4: [5, 7) overlaps [2, 6) "
+                                                           "of line 3 in doc d2 sentence 0"),
+    ], ids=["earlier-span", "repeated-span", "between-spans"])
+    def test_overlap_names_file_sentence_and_lines(self, lines, expected, tmp_path, capsys):
+        gold = tmp_path / "gold.spans"
+        gold.write_text("d1 3 0 2\n")
+        system = tmp_path / "system.spans"
+        system.write_text("\n".join(lines) + "\n")
+        assert run("eval", "--gold", str(gold), "--system", str(system),
+                   "--format", "spans") == 2
+        assert capsys.readouterr().err == (
+            f"clinspan: data error: system spans overlap: {system} {expected}\n"
+        )
+
 
 @pytest.mark.parametrize(
     "what,code,argv",

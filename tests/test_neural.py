@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -12,8 +14,8 @@ from hypothesis import strategies as st
 
 from clinspan import neural
 from clinspan.chunking import PaddedChunk
-from clinspan.corpus import Vocabulary
-from clinspan.features import EmbeddingTable
+from clinspan.corpus import Vocabulary, build_vocab
+from clinspan.features import EmbeddingTable, load_embeddings
 from clinspan.neural import (
     AdamState,
     DenseParams,
@@ -38,7 +40,9 @@ from clinspan.neural import (
     trainable_tensor_names,
 )
 from clinspan.neural import _chunk_losses, _sigmoid
-from clinspan.tagger import TrainConfig
+from clinspan.tagger import TrainConfig, train
+
+from conftest import DATA_DIR
 
 
 def gru_cell_forward(x, h_prev, p):
@@ -770,3 +774,117 @@ class TestTensorInventory:
         model = init_parameters(dims, vocab, words, np.random.default_rng(0))
         assert model.word_table.trainable is trainable
         assert tensor_shapes(dims, vocab) == [(n, a.shape) for n, a in named_tensors(model)]
+
+
+def _wide_batch(n_chunks=72, seed=0):
+    """A batch of ``n_chunks`` probe chunks of random lengths and char sequences."""
+    rng = np.random.default_rng(seed)
+    chunks = [
+        _chunk([rng.integers(2, 8, size=rng.integers(1, 5)) for _ in range(rng.integers(1, 8))],
+               rng.integers(0, 3, size=7), seed=s)
+        for s in range(n_chunks)
+    ]
+    return batch_chunks(chunks)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs."""
+    started = []
+    original = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+class TestThreadedDirections:
+    """A forward with at least PARALLEL_ROWS real slots runs the backward GRU
+    direction on a helper thread; the stacked loop is the reference."""
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_outputs_and_gradients_are_byte_identical(self, monkeypatch, started_threads, dropout):
+        monkeypatch.setattr(neural, "_CPUS", 2)
+        model = _probe_model(seed=13)
+        batch = _wide_batch()
+        assert batch.size >= 64
+        plan = make_dropout_plan(
+            np.random.default_rng(23), 0.5, batch.size, batch.mask.shape[1],
+            model.dims.feature_dim, model.dims.hidden,
+        ) if dropout else None
+        monkeypatch.setattr(neural, "PARALLEL_ROWS", 10**9)
+        stacked = forward_batch(model, batch, plan)
+        monkeypatch.setattr(neural, "PARALLEL_ROWS", 1)
+        threaded = forward_batch(model, batch, plan)
+        assert len(started_threads) == 1
+        for name in ("probs", "gates", "states", "chunk_losses"):
+            assert getattr(stacked, name).tobytes() == getattr(threaded, name).tobytes(), name
+        expected = backward_from_cache(model, stacked)
+        got = backward_from_cache(model, threaded)
+        assert got.keys() == expected.keys()
+        for name in got:
+            assert got[name].tobytes() == expected[name].tobytes(), name
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(neural, "_CPUS", 2)
+        monkeypatch.setattr(neural, "PARALLEL_ROWS", 1)
+        caller = threading.get_ident()
+        original = neural._sigmoid
+
+        def failing(x):
+            if threading.get_ident() != caller:
+                time.sleep(0.05)  # fail after the caller's direction is done
+                raise RuntimeError("helper failed")
+            return original(x)
+
+        monkeypatch.setattr(neural, "_sigmoid", failing)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            forward_batch(_probe_model(), _wide_batch())
+        assert threading.enumerate() == before
+
+    def test_caller_errstate_applies_in_the_helper(self, monkeypatch):
+        monkeypatch.setattr(neural, "_CPUS", 2)
+        monkeypatch.setattr(neural, "PARALLEL_ROWS", 1)
+        model = _probe_model()
+        model.gru_w[1] = 1e308  # only the helper's direction overflows
+        batch = _wide_batch()
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            forward_batch(model, batch)
+        with np.errstate(all="ignore"):  # a warning would be an error in this suite
+            threaded = forward_batch(model, batch).probs
+            monkeypatch.setattr(neural, "PARALLEL_ROWS", 10**9)
+            assert threaded.tobytes() == forward_batch(model, batch).probs.tobytes()
+
+    def test_no_warning_leaks_from_training(self, monkeypatch, started_threads, overfit_corpus):
+        # lr 1e300 overflows the second forward; train() ignores the warnings
+        # and its non-finite loss guard reports the failure.
+        monkeypatch.setattr(neural, "_CPUS", 2)
+        monkeypatch.setattr(neural, "PARALLEL_ROWS", 1)
+        vocab = build_vocab(overfit_corpus)
+        with open(DATA_DIR / "overfit_embeddings.txt", encoding="utf-8") as fh:
+            embeddings = load_embeddings(fh, vocab)
+        config = TrainConfig(epochs=2, lr=1e300, batch_size=4, hidden=8, char_filters=4,
+                             pos_dim=4, char_dim=4)
+        with pytest.raises(NumericError, match="non-finite loss"):
+            train(overfit_corpus, embeddings, config, vocab=vocab)
+        assert started_threads
+
+    @pytest.mark.parametrize("rows, cpus", [(10**9, 2), (1, 1)], ids=["small-batch", "one-cpu"])
+    def test_no_thread_below_threshold_or_on_one_cpu(self, monkeypatch, started_threads, rows, cpus):
+        monkeypatch.setattr(neural, "PARALLEL_ROWS", rows)
+        monkeypatch.setattr(neural, "_CPUS", cpus)
+        forward_batch(_probe_model(), _wide_batch())
+        assert started_threads == []
+
+    def test_default_threshold_splits_large_batches_only(self, monkeypatch, started_threads):
+        monkeypatch.setattr(neural, "_CPUS", 2)
+        model = _probe_model()
+        batch = _wide_batch(n_chunks=128)
+        assert int(batch.mask.sum()) >= neural.PARALLEL_ROWS
+        forward_batch(model, batch)
+        forward_batch(model, batch_chunks([MIXED_CHUNKS[0]]))
+        assert len(started_threads) == 1

@@ -14,11 +14,12 @@ from pathlib import Path
 
 import pytest
 
+from clinspan import neural
 from clinspan.chunking import chunk_sentence
 from clinspan.corpus import build_vocab
 from clinspan.features import load_embeddings
 from clinspan.neural import batch_chunks, forward_batch
-from clinspan.tagger import TrainConfig, train
+from clinspan.tagger import TrainConfig, predict_corpus_labels, train
 
 from conftest import DATA_DIR
 
@@ -65,15 +66,43 @@ def test_tracer_uninstall_restores_every_original(bench):
         assert getattr(importlib.import_module(module), attr) is original, f"{module}.{attr}"
 
 
-def test_reference_forward_matches_forward_batch(bench, overfit_corpus):
+@pytest.fixture(scope="module")
+def trained(overfit_corpus):
+    """A model trained on the overfit corpus, its vocabulary and its config."""
     vocab = build_vocab(overfit_corpus)
     with open(DATA_DIR / "overfit_embeddings.txt", encoding="utf-8") as fh:
         embeddings = load_embeddings(fh, vocab)
     config = TrainConfig(epochs=2, hidden=8, char_filters=4, char_widths=(2, 3), pos_dim=4,
                          char_dim=4)
     model, _ = train(overfit_corpus, embeddings, config, vocab=vocab)
+    return model, vocab, config
+
+
+def test_reference_forward_matches_forward_batch(bench, trained, overfit_corpus):
+    model, vocab, config = trained
     chunks = [c for s in overfit_corpus.sentences
               for c in chunk_sentence(s, vocab, config.chunk_config)]
     probs = forward_batch(model, batch_chunks(chunks)).probs
     worst = max(bench["checks"].reference_error(model, c, p) for c, p in zip(chunks, probs))
     assert worst <= bench["worker"].REFERENCE_TOLERANCE
+
+
+def test_threaded_forward_leaves_a_finished_trace(bench, trained, overfit_corpus, monkeypatch):
+    # The tracer's span stack is shared between threads, so the GRU helper
+    # thread must not call a patched function.
+    monkeypatch.setattr(neural, "_CPUS", 2)
+    model, vocab, config = trained
+    spans = bench["spans"]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        predict_corpus_labels(model, vocab, overfit_corpus.sentences * 3, config.chunk_config)
+    finally:
+        tracer.uninstall()
+    index = spans.SpanIndex(tracer.spans)
+    forwards = index.of("neural.forward_batch")
+    assert forwards and index.spans[forwards[0]].info[2] >= neural.PARALLEL_ROWS
+    convolutions = index.of("features.char_cnn_trace")
+    assert convolutions
+    for i in convolutions:
+        assert index.spans[index.spans[i].parent].name == "neural.forward_batch"

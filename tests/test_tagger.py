@@ -571,15 +571,22 @@ class TestCharMemo:
             for name in got:
                 np.testing.assert_array_equal(got[name], expected[name], err_msg=name)
 
-    def test_concurrent_forwards_share_the_memo(self, tmp_path):
+    def test_concurrent_forwards_share_the_memo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(neural, "_CPUS", 2)
         loaded, vocab = self._loaded(tmp_path)
         batch = batch_chunks(self._mixed_chunks(vocab))
+        # Above the threshold each forward starts its own GRU helper thread.
+        large = batch_chunks(self._mixed_chunks(vocab) * 20)
+        assert int(large.mask.sum()) >= neural.PARALLEL_ROWS
         expected = forward_batch(loaded.clone(), batch).probs.tobytes()
+        expected_large = forward_batch(loaded.clone(), large).probs.tobytes()
         results = []
+        large_results = []
 
         def worker():
             for _ in range(5):
                 results.append(forward_batch(loaded, batch).probs.tobytes())
+            large_results.append(forward_batch(loaded, large).probs.tobytes())
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -593,6 +600,7 @@ class TestCharMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * 20
+        assert large_results == [expected_large] * 4
         in_vocab = {key for key, word in self._slot_keys(batch) if word > UNK_INDEX}
         assert loaded.char_memo.keys() == in_vocab
 
