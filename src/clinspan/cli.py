@@ -124,10 +124,19 @@ def build_run_config(args: argparse.Namespace) -> tuple[TrainConfig, dict[str, s
         raise ConfigError(str(exc)) from None
 
 
-def _check_output_dirs(*paths: str | None) -> None:
-    for path in paths:
-        if path and not Path(path).resolve().parent.is_dir():
+def _check_outputs(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
+    """Raise ConfigError unless every output (flag -> path) has an existing
+    directory and resolves to no input and no other output of the command."""
+    taken = {Path(path).resolve(): flag for flag, path in inputs.items() if path}
+    for flag, path in outputs.items():
+        if not path:
+            continue
+        resolved = Path(path).resolve()
+        if not resolved.parent.is_dir():
             raise ConfigError(f"cannot write {path}: no such directory")
+        if resolved in taken:
+            raise ConfigError(f"{flag} and {taken[resolved]} name the same file {path}")
+        taken[resolved] = flag
 
 
 @contextmanager
@@ -184,7 +193,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("train requires corpus, embeddings, and model paths")
     model_path = paths["model"]
     history_path = paths["history"] or model_path + ".history"
-    _check_output_dirs(model_path, history_path)
+    _check_outputs(
+        {"--model": model_path, "--history": history_path},
+        {"--corpus": paths["corpus"], "--embeddings": paths["embeddings"], "--config": args.config},
+    )
     corpus = _read_corpus(paths["corpus"])
     if len(corpus.sentences) == 0:
         raise DataError(f"corpus {paths['corpus']} contains no sentences")
@@ -209,7 +221,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
-    _check_output_dirs(args.output, args.spans_out)
+    _check_outputs(
+        {"--output": args.output, "--spans-out": args.spans_out},
+        {"--model": args.model, "--input": args.input},
+    )
     try:
         model, vocab = load_model(args.model)
     except OSError as exc:
@@ -217,10 +232,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
     corpus = _read_corpus(args.input, require_labels=False)
     config = ChunkConfig(window=model.dims.window, overlap=model.dims.overlap)
     sentences = list(corpus.sentences)
-    if sentences:
-        predicted = predict_corpus_labels(model, vocab, sentences, config)
-    else:
-        predicted = []
+    predicted = predict_corpus_labels(model, vocab, sentences, config)
     tagged = []
     span_lines = []
     for sentence, tags in zip(sentences, predicted):
@@ -235,7 +247,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
             span_lines.append(
                 f"{sentence.doc_id} {sentence.sent_index} {span.start} {span.end}"
             )
-    out = AnnotatedCorpus(tuple(tagged), corpus.note_count if sentences else 0)
+    out = AnnotatedCorpus(tuple(tagged), corpus.note_count)
     with _writing(args.output):
         write_atomic(args.output, serialize_corpus(out))
     if args.spans_out:
@@ -332,9 +344,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         raise ConfigError(f"gradcheck seed must be >= 0, got {args.seed}")
     model, chunk = build_probe(seed=args.seed, trainable_words=args.train_words)
     try:
-        report = finite_difference_check(
-            model, chunk, step=args.step, tolerance=args.tolerance, corrupt_tensor=args.inject_bug
-        )
+        report = finite_difference_check(model, chunk, step=args.step, tolerance=args.tolerance)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     print(report.format())
@@ -407,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--tolerance", type=float, default=GRADCHECK_TOLERANCE)
     p_grad.add_argument("--train-words", type=_parse_bool, default=False,
                         metavar="BOOL", help="make the word table trainable too")
-    p_grad.add_argument("--inject-bug", help=argparse.SUPPRESS)
     p_grad.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -61,8 +61,10 @@ arXiv:1604.01946, who also run the directions of a bidirectional RNN
 concurrently).
 
 Tensor inventory: ``tensor_shapes`` gives each tensor's name and shape in
-``named_tensors`` (archive payload) order, and ``model_from_tensors``, the
-inverse of ``named_tensors``, builds every model (init, clone and load).
+archive payload order.  A model is that map of named tensors
+(``ModelParameters.tensors``) plus its dims and the word-table flag; init,
+clone and load all build it from such a map, and the typed attributes the
+forward reads are views derived from it (``named_tensors`` is its items).
 ``init_parameters`` draws the POS table, the char table, the filters by
 width, ``dense.w``, then the GRU weights direction by direction; biases draw
 nothing.  A different order would give every seed a different model.
@@ -175,22 +177,26 @@ class ModelDims:
 
 @dataclass
 class ModelParameters:
-    """Every tensor of the tagger.
+    """Every tensor of the tagger, held once in ``tensors``.
 
-    The GRU weights live in ``gru_w`` (2, 3H, D), ``gru_u`` (2, 3H, H) and
-    ``gru_b`` (2, 3H): direction first, gate blocks z | r | h.  They are
-    stacked from ``gru_fwd`` and ``gru_bwd`` at construction, after which
-    those two are rebound to per-gate views into the stacked arrays, so a
-    write through either name reaches the one copy the forward reads.
+    ``tensors`` maps each archive name to its array, in ``tensor_shapes``
+    order.  Construction stacks the per-gate GRU entries into ``gru_w``
+    (2, 3H, D), ``gru_u`` (2, 3H, H) and ``gru_b`` (2, 3H), direction first,
+    gate blocks z | r | h, and rebinds those entries to views into the
+    stacked arrays; every other array is adopted as is.  The typed
+    attributes (``word_table`` ... ``dense``) are views of the same arrays,
+    so a write through any name reaches the one copy the forward reads.
     """
 
-    word_table: EmbeddingTable
-    pos_table: PosEmbedding
-    char_params: CharCnnParams
-    gru_fwd: GruDirectionParams
-    gru_bwd: GruDirectionParams
-    dense: DenseParams
     dims: ModelDims
+    tensors: dict[str, np.ndarray]
+    word_table_trainable: bool
+    word_table: EmbeddingTable = field(init=False, repr=False, compare=False)
+    pos_table: PosEmbedding = field(init=False, repr=False, compare=False)
+    char_params: CharCnnParams = field(init=False, repr=False, compare=False)
+    gru_fwd: GruDirectionParams = field(init=False, repr=False, compare=False)
+    gru_bwd: GruDirectionParams = field(init=False, repr=False, compare=False)
+    dense: DenseParams = field(init=False, repr=False, compare=False)
     gru_w: np.ndarray = field(init=False, repr=False, compare=False)
     gru_u: np.ndarray = field(init=False, repr=False, compare=False)
     gru_b: np.ndarray = field(init=False, repr=False, compare=False)
@@ -198,51 +204,50 @@ class ModelParameters:
     char_memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.tensors = t = dict(self.tensors)  # gates are rebound here, not in the caller's map
         self.gru_w, self.gru_u, self.gru_b = (
             np.stack([
-                np.concatenate([getattr(p, f"{kind}_{gate}") for gate in "zrh"])
-                for p in (self.gru_fwd, self.gru_bwd)
+                np.concatenate([t[f"{prefix}.{kind}_{gate}"] for gate in "zrh"])
+                for prefix in ("gru_fwd", "gru_bwd")
             ]).astype(np.float64, copy=False)
             for kind in "wub"
         )
-        self.gru_fwd, self.gru_bwd = _gate_views(self.gru_w, self.gru_u, self.gru_b)
+        t.update(_gate_views(self.gru_w, self.gru_u, self.gru_b))
+        self.gru_fwd, self.gru_bwd = (
+            GruDirectionParams(*(t[f"{prefix}.{g}"] for g in GruDirectionParams.GATE_NAMES))
+            for prefix in ("gru_fwd", "gru_bwd")
+        )
+        widths = self.dims.char_widths
+        self.word_table = EmbeddingTable(t["word_table"], self.word_table_trainable)
+        self.pos_table = PosEmbedding(t["pos_table"])
+        self.char_params = CharCnnParams(
+            char_table=t["char_table"],
+            widths=widths,
+            filters=[t[f"char_filters_w{k}"] for k in widths],
+            biases=[t[f"char_bias_w{k}"] for k in widths],
+        )
+        self.dense = DenseParams(w=t["dense.w"], b=t["dense.b"])
 
     def clone(self) -> "ModelParameters":
-        return model_from_tensors(
-            self.dims, {n: a.copy() for n, a in named_tensors(self)}, self.word_table.trainable
-        )
+        tensors = {n: a.copy() for n, a in self.tensors.items()}
+        return ModelParameters(self.dims, tensors, self.word_table_trainable)
 
 
-def _gate_views(
-    w: np.ndarray, u: np.ndarray, b: np.ndarray
-) -> tuple[GruDirectionParams, GruDirectionParams]:
-    """Per-gate views into stacked (2, 3H, ...) GRU tensors, one set per direction."""
+def _gate_views(w: np.ndarray, u: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-gate views into stacked (2, 3H, ...) GRU tensors, by archive name."""
     h = b.shape[1] // 3
-    fwd, bwd = (
-        GruDirectionParams(*(t[k, g * h : (g + 1) * h] for t in (w, u, b) for g in range(3)))
-        for k in range(2)
-    )
-    return fwd, bwd
+    return {
+        f"{prefix}.{kind}_{gate}": t[k, g * h : (g + 1) * h]
+        for k, prefix in enumerate(("gru_fwd", "gru_bwd"))
+        for kind, t in zip("wub", (w, u, b))
+        for g, gate in enumerate("zrh")
+    }
 
 
 def named_tensors(model: ModelParameters) -> list[tuple[str, np.ndarray]]:
-    """All parameter tensors in a fixed, serialization-stable order."""
-    pairs: list[tuple[str, np.ndarray]] = [
-        ("word_table", model.word_table.matrix),
-        ("pos_table", model.pos_table.matrix),
-        ("char_table", model.char_params.char_table),
-    ]
-    for width, filt, bias in zip(
-        model.char_params.widths, model.char_params.filters, model.char_params.biases
-    ):
-        pairs.append((f"char_filters_w{width}", filt))
-        pairs.append((f"char_bias_w{width}", bias))
-    for prefix, gru in (("gru_fwd", model.gru_fwd), ("gru_bwd", model.gru_bwd)):
-        for gate in GruDirectionParams.GATE_NAMES:
-            pairs.append((f"{prefix}.{gate}", getattr(gru, gate)))
-    pairs.append(("dense.w", model.dense.w))
-    pairs.append(("dense.b", model.dense.b))
-    return pairs
+    """All parameter tensors in a fixed, serialization-stable order: the
+    items of ``model.tensors``."""
+    return list(model.tensors.items())
 
 
 def tensor_shapes(dims: ModelDims, vocab: Vocabulary) -> list[tuple[str, tuple[int, ...]]]:
@@ -262,35 +267,8 @@ def tensor_shapes(dims: ModelDims, vocab: Vocabulary) -> list[tuple[str, tuple[i
     return shapes + [("dense.w", (3, 2 * h)), ("dense.b", (3,))]
 
 
-def model_from_tensors(
-    dims: ModelDims, tensors: dict[str, np.ndarray], word_table_trainable: bool
-) -> ModelParameters:
-    """The model whose ``named_tensors`` are ``tensors``: every array is
-    adopted as is, except the GRU ones, which are stacked into a new copy."""
-    def gru(prefix: str) -> GruDirectionParams:
-        return GruDirectionParams(*(tensors[f"{prefix}.{g}"] for g in GruDirectionParams.GATE_NAMES))
-
-    return ModelParameters(
-        word_table=EmbeddingTable(tensors["word_table"], word_table_trainable),
-        pos_table=PosEmbedding(tensors["pos_table"]),
-        char_params=CharCnnParams(
-            char_table=tensors["char_table"],
-            widths=dims.char_widths,
-            filters=[tensors[f"char_filters_w{k}"] for k in dims.char_widths],
-            biases=[tensors[f"char_bias_w{k}"] for k in dims.char_widths],
-        ),
-        gru_fwd=gru("gru_fwd"),
-        gru_bwd=gru("gru_bwd"),
-        dense=DenseParams(w=tensors["dense.w"], b=tensors["dense.b"]),
-        dims=dims,
-    )
-
-
 def trainable_tensor_names(model: ModelParameters) -> list[str]:
-    names = [name for name, _ in named_tensors(model)]
-    if not model.word_table.trainable:
-        names.remove("word_table")
-    return names
+    return [n for n in model.tensors if n != "word_table" or model.word_table_trainable]
 
 
 def init_parameters(
@@ -329,7 +307,7 @@ def init_parameters(
         arr[...] = rng.uniform(-limit, limit, size=arr.shape)
     for name in FROZEN_ROW_TABLES:
         tensors[name][0] = 0.0
-    return model_from_tensors(dims, tensors, word_table.trainable)
+    return ModelParameters(dims, tensors, word_table.trainable)
 
 
 # ---------------------------------------------------------------------------
@@ -696,12 +674,7 @@ def _bigru_backward(
         da[..., : 2 * h].transpose(0, 2, 1) @ hd_all,
         da[..., 2 * h :].transpose(0, 2, 1) @ (gates[..., h : 2 * h] * hd_all),
     ], axis=1)
-    grads = {
-        f"{prefix}.{name}": getattr(views, name)
-        for prefix, views in zip(("gru_fwd", "gru_bwd"), _gate_views(d_w, d_u, d_b))
-        for name in GruDirectionParams.GATE_NAMES
-    }
-    return d_proj @ model.gru_w.reshape(6 * h, -1), grads
+    return d_proj @ model.gru_w.reshape(6 * h, -1), _gate_views(d_w, d_u, d_b)
 
 
 def _char_cnn_backward(
@@ -759,7 +732,7 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
 
     d_w = model.word_table.dim
     d_p = model.pos_table.dim
-    if model.word_table.trainable:
+    if model.word_table_trainable:
         g_word = np.zeros_like(model.word_table.matrix)
         np.add.at(g_word, batch.word_ids[pack.slot_i, pack.slot_t], dx[:, :d_w])
         g_word[0] = 0.0
@@ -826,11 +799,10 @@ class AdamState:
 
     @classmethod
     def for_model(cls, model: ModelParameters) -> "AdamState":
-        tensors = dict(named_tensors(model))
         names = trainable_tensor_names(model)
         return cls(
-            m={n: np.zeros_like(tensors[n]) for n in names},
-            v={n: np.zeros_like(tensors[n]) for n in names},
+            m={n: np.zeros_like(model.tensors[n]) for n in names},
+            v={n: np.zeros_like(model.tensors[n]) for n in names},
         )
 
 
@@ -845,7 +817,6 @@ def adam_step(
     Frozen tensors never appear in ``grads``; PAD table rows carry zero
     gradients and therefore zero updates.
     """
-    tensors = dict(named_tensors(model))
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
@@ -857,7 +828,7 @@ def adam_step(
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        tensors[name] -= lr * update
+        model.tensors[name] -= lr * update
     return model, state
 
 
@@ -912,25 +883,19 @@ def finite_difference_check(
     chunk: PaddedChunk,
     step: float = GRADCHECK_STEP,
     tolerance: float = GRADCHECK_TOLERANCE,
-    corrupt_tensor: str | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences of the
     loss of the chunk's own labels.
 
     Samples ``GRADCHECK_COORDS`` coordinates per trainable tensor (all of
     them for small tensors) with deterministic per-tensor sampling;
-    frozen tensors are reported as skipped.  ``corrupt_tensor`` rolls that
-    tensor's analytic gradient by one position (a test-only fault injection).
-    Raises ValueError unless ``step`` and ``tolerance`` are finite and > 0 and
-    ``corrupt_tensor`` is None or a trainable tensor.
+    frozen tensors are reported as skipped.  Raises ValueError unless
+    ``step`` and ``tolerance`` are finite and > 0.
     """
     for name, value in (("step", step), ("tolerance", tolerance)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"gradcheck {name} must be finite and > 0, got {value!r}")
     trainable = trainable_tensor_names(model)
-    if corrupt_tensor is not None and corrupt_tensor not in trainable:
-        valid = ", ".join(trainable)
-        raise ValueError(f"gradcheck has no trainable tensor {corrupt_tensor!r} (valid: {valid})")
     batch = batch_chunks([chunk])
 
     def loss() -> float:
@@ -940,12 +905,9 @@ def finite_difference_check(
     if not np.isfinite(base):
         raise NumericError(f"non-finite loss {base!r}; gradient check aborted")
     analytic = backward(model, chunk)
-    if corrupt_tensor is not None:
-        target = analytic[corrupt_tensor]
-        analytic[corrupt_tensor] = np.roll(target.ravel(), 1).reshape(target.shape)
 
     checks = []
-    for name, arr in named_tensors(model):
+    for name, arr in model.tensors.items():
         if name not in trainable:
             checks.append(TensorCheck(name=name, status="skipped"))
             continue

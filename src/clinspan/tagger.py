@@ -26,7 +26,6 @@ from .corpus import (
     AnnotatedSentence,
     ConceptSpan,
     Vocabulary,
-    build_vocab,
     decode_iob,
     stratified_split,
 )
@@ -43,8 +42,6 @@ from .neural import (
     forward_batch,
     init_parameters,
     make_dropout_plan,
-    model_from_tensors,
-    named_tensors,
     tensor_shapes,
 )
 
@@ -214,7 +211,7 @@ def train(
     corpus: AnnotatedCorpus,
     embeddings: EmbeddingTable,
     config: TrainConfig,
-    vocab: Vocabulary | None = None,
+    vocab: Vocabulary,
 ) -> tuple[ModelParameters, TrainHistory]:
     """Train with Adam, gradient clipping, dropout, and early stopping.
 
@@ -226,8 +223,6 @@ def train(
     """
     if len(corpus.sentences) == 0:
         raise ValueError("cannot train on an empty corpus")
-    if vocab is None:
-        vocab = build_vocab(corpus, config.min_count)
     if embeddings.matrix.shape[0] != vocab.word_size:
         raise ValueError(
             f"embedding table has {embeddings.matrix.shape[0]} rows but the "
@@ -322,10 +317,10 @@ def train(
 
 
 def save_model(model: ModelParameters, vocab: Vocabulary, path: str) -> None:
-    manifest = [(name, list(arr.shape)) for name, arr in named_tensors(model)]
+    manifest = [(name, list(arr.shape)) for name, arr in model.tensors.items()]
     header = {
         "dims": dataclasses.asdict(model.dims),
-        "word_table_trainable": model.word_table.trainable,
+        "word_table_trainable": model.word_table_trainable,
         "vocab": {
             "word_to_index": vocab.word_to_index,
             "pos_to_index": vocab.pos_to_index,
@@ -339,7 +334,7 @@ def save_model(model: ModelParameters, vocab: Vocabulary, path: str) -> None:
     blob += struct.pack("<I", ARCHIVE_VERSION)
     blob += struct.pack("<Q", len(header_bytes))
     blob += header_bytes
-    for _, arr in named_tensors(model):
+    for arr in model.tensors.values():
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     blob += hashlib.sha256(bytes(blob)).digest()
     write_atomic(path, bytes(blob))
@@ -412,8 +407,8 @@ def load_model(path: str) -> tuple[ModelParameters, Vocabulary]:
     if cursor != payload_end:
         raise ArchiveError("trailing bytes after tensor payload")
 
-    model = model_from_tensors(dims, tensors, trainable)
-    for arr in [model.gru_w, model.gru_u, model.gru_b] + [t for _, t in named_tensors(model)]:
+    model = ModelParameters(dims, tensors, trainable)
+    for arr in [model.gru_w, model.gru_u, model.gru_b, *model.tensors.values()]:
         arr.setflags(write=False)  # views need their own flag; clone() makes writable copies
     model.char_memo = {}  # safe only because the char tensors are now read-only
     return model, vocab

@@ -3,8 +3,10 @@ from __future__ import annotations
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from clinspan import neural
 from clinspan.corpus import AnnotatedCorpus, AnnotatedSentence, RawToken, parse_corpus
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -25,6 +27,20 @@ def stats_corpus() -> AnnotatedCorpus:
 def overfit_corpus() -> AnnotatedCorpus:
     with open(DATA_DIR / "overfit_corpus.txt", encoding="utf-8") as fh:
         return parse_corpus(fh)
+
+
+@pytest.fixture
+def rolled_dense_gradient(monkeypatch):
+    """Roll the analytic ``dense.w`` gradient by one position: a gradient bug
+    that finite differences must catch."""
+    exact = neural.backward
+
+    def rolled(model, chunk):
+        grads = exact(model, chunk)
+        grads["dense.w"] = np.roll(grads["dense.w"], 1)
+        return grads
+
+    monkeypatch.setattr(neural, "backward", rolled)
 
 
 def make_sentence(

@@ -15,7 +15,6 @@ from clinspan.features import (
     load_embeddings,
 )
 from clinspan.neural import (
-    DenseParams,
     GruDirectionParams,
     ModelDims,
     ModelParameters,
@@ -196,18 +195,20 @@ def _model(word, pos, char, window, hidden=3, seed=0):
     """A model over the given tables with random GRU and dense weights."""
     rng = np.random.default_rng(seed)
     d = word.dim + pos.dim + char.output_dim
-    gru = lambda: GruDirectionParams(
-        *(rng.normal(size=(hidden, d)) for _ in range(3)),
-        *(rng.normal(size=(hidden, hidden)) for _ in range(3)),
-        *(rng.normal(size=hidden) for _ in range(3)),
-    )
+    tensors = {"word_table": word.matrix, "pos_table": pos.matrix, "char_table": char.char_table}
+    for k, filters, bias in zip(char.widths, char.filters, char.biases):
+        tensors |= {f"char_filters_w{k}": filters, f"char_bias_w{k}": bias}
+    gate_shape = {"w": (hidden, d), "u": (hidden, hidden), "b": (hidden,)}
+    for prefix in ("gru_fwd", "gru_bwd"):
+        for gate in GruDirectionParams.GATE_NAMES:
+            tensors[f"{prefix}.{gate}"] = rng.normal(size=gate_shape[gate[0]])
+    tensors |= {"dense.w": rng.normal(size=(3, 2 * hidden)), "dense.b": rng.normal(size=3)}
     dims = ModelDims(
         word_dim=word.dim, pos_dim=pos.dim, char_dim=char.char_dim,
         char_filters=char.n_filters, char_widths=char.widths, hidden=hidden,
         window=window, overlap=1,
     )
-    dense = DenseParams(rng.normal(size=(3, 2 * hidden)), rng.normal(size=3))
-    return ModelParameters(word, pos, char, gru(), gru(), dense, dims)
+    return ModelParameters(dims, tensors, word.trainable)
 
 
 class TestFeaturizeChunk:

@@ -21,6 +21,7 @@ from clinspan.neural import (
     DenseParams,
     GruDirectionParams,
     ModelDims,
+    ModelParameters,
     NumericError,
     adam_step,
     backward,
@@ -40,7 +41,7 @@ from clinspan.neural import (
     trainable_tensor_names,
 )
 from clinspan.neural import _chunk_losses, _sigmoid
-from clinspan.tagger import TrainConfig, train
+from clinspan.tagger import TrainConfig, load_model, save_model, train
 
 from conftest import DATA_DIR
 
@@ -111,7 +112,10 @@ class TestGruCell:
 def _bigru_states(model, chunk, p_fwd, p_bwd):
     """forward_batch on one chunk with the given GRU directions: the
     concatenated states (T, 2H) and the feature rows of the real slots."""
-    model = dataclasses.replace(model, gru_fwd=p_fwd, gru_bwd=p_bwd)
+    tensors = dict(model.tensors)
+    for prefix, p in (("gru_fwd", p_fwd), ("gru_bwd", p_bwd)):
+        tensors.update({f"{prefix}.{g}": getattr(p, g) for g in GruDirectionParams.GATE_NAMES})
+    model = ModelParameters(model.dims, tensors, model.word_table_trainable)
     cache = forward_batch(model, batch_chunks([chunk]))
     return cache.concat[0], cache.inputs
 
@@ -285,9 +289,9 @@ class TestBackward:
                 a = analytic[name].flat[flat]
                 assert abs(a - numeric) / max(abs(a), abs(numeric), 1e-8) < 1e-4
 
-    def test_mutation_detected(self):
+    def test_mutation_detected(self, rolled_dense_gradient):
         model, chunk = build_probe(seed=0)
-        report = finite_difference_check(model, chunk, corrupt_tensor="dense.w")
+        report = finite_difference_check(model, chunk)
         assert not report.ok
         assert any(c.name == "dense.w" and c.status == "failed" for c in report.checks)
 
@@ -761,19 +765,67 @@ class TestTensorInventory:
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         assert digest.hexdigest() == self.PROBE_DIGEST
 
-    @pytest.mark.parametrize("widths, trainable", [((3,), False), ((2, 4), True)])
-    def test_shapes_match_the_initialized_model(self, widths, trainable):
-        vocab = Vocabulary(
-            word_to_index={"<pad>": 0, "<unk>": 1, "a": 2, "b": 3},
-            pos_to_index={"<pad>": 0, "<unk>": 1, "NOUN": 2},
-            char_to_index={"<pad>": 0, "<unk>": 1, "a": 2, "b": 3, "c": 4},
-        )
-        dims = ModelDims(word_dim=3, pos_dim=2, char_dim=4, char_filters=5,
-                         char_widths=widths, hidden=6, window=7, overlap=2)
-        words = EmbeddingTable(np.ones((vocab.word_size, 3)), trainable=trainable)
-        model = init_parameters(dims, vocab, words, np.random.default_rng(0))
-        assert model.word_table.trainable is trainable
-        assert tensor_shapes(dims, vocab) == [(n, a.shape) for n, a in named_tensors(model)]
+    @pytest.mark.parametrize("widths, trainable", [((3,), False), ((2, 4), True), ((2, 3), False)])
+    def test_shapes_match_the_initialized_model(self, widths, trainable, tmp_path):
+        vocab, models = _inventory_models(widths, trainable, tmp_path)
+        for source, model in models.items():
+            assert model.word_table.trainable is trainable, source
+            shapes = [(n, a.shape) for n, a in named_tensors(model)]
+            assert tensor_shapes(model.dims, vocab) == shapes, source
+
+    @pytest.mark.parametrize("widths", [(3,), (2, 3)])
+    def test_tensors_are_the_typed_views(self, widths, tmp_path):
+        _, models = _inventory_models(widths, True, tmp_path)
+        for source, model in models.items():
+            for arr in (model.gru_w, model.gru_u, model.gru_b, *model.tensors.values()):
+                arr.setflags(write=True)  # a loaded model's arrays are read-only
+            h = model.dims.hidden
+            views = _typed_views(model)
+            assert list(views) == list(model.tensors), source
+            for name, arr in model.tensors.items():
+                view = views[name]
+                arr.flat[0] = 0.25
+                view.flat[-1] = -0.75
+                assert view.flat[0] == 0.25 and arr.flat[-1] == -0.75, (source, name)
+                if name.startswith("gru_"):
+                    prefix, gate = name.split(".")
+                    stacked = {"w": model.gru_w, "u": model.gru_u, "b": model.gru_b}[gate[0]]
+                    k, g = ("gru_fwd", "gru_bwd").index(prefix), "zrh".index(gate[2])
+                    np.testing.assert_array_equal(stacked[k, g * h : (g + 1) * h], arr)
+
+
+def _inventory_models(widths, trainable, tmp_path):
+    """The vocabulary and three models over it: from ``init_parameters``,
+    from ``clone()`` and from a ``load_model`` round trip."""
+    vocab = Vocabulary(
+        word_to_index={"<pad>": 0, "<unk>": 1, "a": 2, "b": 3},
+        pos_to_index={"<pad>": 0, "<unk>": 1, "NOUN": 2},
+        char_to_index={"<pad>": 0, "<unk>": 1, "a": 2, "b": 3, "c": 4},
+    )
+    dims = ModelDims(word_dim=3, pos_dim=2, char_dim=4, char_filters=5,
+                     char_widths=widths, hidden=6, window=7, overlap=2)
+    words = EmbeddingTable(np.ones((vocab.word_size, 3)), trainable=trainable)
+    model = init_parameters(dims, vocab, words, np.random.default_rng(0))
+    path = str(tmp_path / f"model-{len(widths)}.bin")
+    save_model(model, vocab, path)
+    return vocab, {"init": model, "clone": model.clone(), "load": load_model(path)[0]}
+
+
+def _typed_views(model):
+    """The attribute the forward reads for each archive name, spelled out
+    here apart from clinspan.neural."""
+    char = model.char_params
+    views = {
+        "word_table": model.word_table.matrix,
+        "pos_table": model.pos_table.matrix,
+        "char_table": char.char_table,
+    }
+    for k, filters, bias in zip(char.widths, char.filters, char.biases):
+        views |= {f"char_filters_w{k}": filters, f"char_bias_w{k}": bias}
+    for prefix in ("gru_fwd", "gru_bwd"):
+        for gate in GruDirectionParams.GATE_NAMES:
+            views[f"{prefix}.{gate}"] = getattr(getattr(model, prefix), gate)
+    return views | {"dense.w": model.dense.w, "dense.b": model.dense.b}
 
 
 def _wide_batch(n_chunks=72, seed=0):

@@ -19,7 +19,7 @@ from clinspan.chunking import chunk_sentence
 from clinspan.corpus import build_vocab
 from clinspan.features import load_embeddings
 from clinspan.neural import batch_chunks, forward_batch
-from clinspan.tagger import TrainConfig, predict_corpus_labels, train
+from clinspan.tagger import TrainConfig, load_model, predict_corpus_labels, save_model, train
 
 from conftest import DATA_DIR
 
@@ -78,13 +78,17 @@ def trained(overfit_corpus):
     return model, vocab, config
 
 
-def test_reference_forward_matches_forward_batch(bench, trained, overfit_corpus):
+def test_reference_forward_matches_forward_batch(bench, trained, overfit_corpus, tmp_path):
+    # The tagging workloads run the forward on a model from load_model.
     model, vocab, config = trained
+    save_model(model, vocab, str(tmp_path / "model.bin"))
+    loaded, _ = load_model(str(tmp_path / "model.bin"))
     chunks = [c for s in overfit_corpus.sentences
               for c in chunk_sentence(s, vocab, config.chunk_config)]
-    probs = forward_batch(model, batch_chunks(chunks)).probs
-    worst = max(bench["checks"].reference_error(model, c, p) for c, p in zip(chunks, probs))
-    assert worst <= bench["worker"].REFERENCE_TOLERANCE
+    for m in (model, loaded):
+        probs = forward_batch(m, batch_chunks(chunks)).probs
+        worst = max(bench["checks"].reference_error(m, c, p) for c, p in zip(chunks, probs))
+        assert worst <= bench["worker"].REFERENCE_TOLERANCE
 
 
 def test_threaded_forward_leaves_a_finished_trace(bench, trained, overfit_corpus, monkeypatch):
