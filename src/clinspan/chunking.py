@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 
 from .corpus import LABEL_TO_INDEX, AnnotatedSentence, Vocabulary
+
+Tag = TypeVar("Tag")  # a chunk slot's prediction: a tag index or a tag string
 
 
 @dataclass(frozen=True)
@@ -109,10 +111,11 @@ def chunk_sentence(
 
 
 def merge_chunk_predictions(
-    chunks: Sequence[tuple[PaddedChunk, Sequence[str]]],
-) -> list[str]:
+    chunks: Sequence[tuple[PaddedChunk, Sequence[Tag]]],
+) -> list[Tag]:
     """Reconcile per-chunk tags into one sentence-level tag sequence.
 
+    Each chunk's tags (indices or strings) cover at least its real slots.
     Where two chunks cover a position, the tag from the chunk in which the
     position sits farther from its real edge wins (that prediction saw more
     context); exact ties go to the earlier chunk.  Pad slots never contribute.
@@ -129,7 +132,7 @@ def merge_chunk_predictions(
 
     last_chunk = ordered[-1][0]
     length = last_chunk.sentence_offset + last_chunk.real_count
-    merged: list[str | None] = [None] * length
+    merged: list[Tag | None] = [None] * length
     best_distance = [-1] * length
     for chunk, tags in ordered:
         real = chunk.real_count

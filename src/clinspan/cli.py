@@ -2,7 +2,8 @@
 
 Configuration is a flat key=value file (``#`` comments allowed) whose keys
 mirror the command-line flags; flags override file values.  Exit codes:
-0 success, 1 usage/config error, 2 data error, 3 numeric failure.
+0 success, 1 usage/config error (also a failed allocation, such as a model
+too large for memory), 2 data error, 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -116,7 +117,7 @@ def build_run_config(args: argparse.Namespace) -> tuple[TrainConfig, dict[str, s
     for key in _CONFIG_TYPES:
         override = getattr(args, key, None)
         if override is not None:
-            values[key] = _coerce(key, override) if isinstance(override, str) else override
+            values[key] = _coerce(key, override)
     paths = {key: values.pop(key, None) for key in PATH_KEYS}
     try:
         return TrainConfig(**values), paths
@@ -357,7 +358,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit code 1 for usage problems
-        raise UsageError(f"{message}\n{self.format_usage()}")
+        raise UsageError(f"{message} (see '{self.prog} --help')")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -368,14 +369,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "model": "output model archive path",
         "history": "output per-epoch history file",
     }
-    for name, kind in _CONFIG_TYPES.items():
+    for name, kind in _CONFIG_TYPES.items():  # build_run_config coerces every value
         flag = "--" + name.replace("_", "-")
-        if kind == "bool":
-            parser.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL")
-        elif kind in ("int", "float"):
-            parser.add_argument(flag, type=_PARSERS[kind], default=None)
-        else:  # paths, and char_widths as "3,5", are coerced in build_run_config
-            parser.add_argument(flag, default=None, help=flag_help.get(name))
+        metavar = "BOOL" if kind == "bool" else None
+        parser.add_argument(flag, metavar=metavar, help=flag_help.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,6 +435,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"clinspan: numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # e.g. a model too large to allocate
+        reason = str(exc) or "an allocation failed"
+        print(f"clinspan: config error: out of memory: {reason}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

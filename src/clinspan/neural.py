@@ -49,11 +49,12 @@ steps, and each step does one (k, n, H) GEMM for z | r, one for the
 candidate, and one set of elementwise ops, reading the previous state from
 the prior step's packed rows.  The two directions share no data until the
 concat, so a batch of at least ``PARALLEL_ROWS`` real slots on a process
-allowed two or more CPUs runs direction 1 on a helper thread and direction
-0 in the caller (numpy releases the GIL inside BLAS and ufunc loops), then
-joins; smaller batches, and every batch on one CPU, run the stacked ``0:2``
-loop.  Each direction makes the same calls on the same slices either way,
-so the outputs are the same bytes.  The backward loop stays single-threaded:
+allowed two or more CPUs runs direction 1 on the worker of a one-thread
+``ThreadPoolExecutor`` and direction 0 in the caller (numpy releases the
+GIL inside BLAS and ufunc loops), then waits for the worker's result;
+smaller batches, and every batch on one CPU, run the stacked ``0:2`` loop.
+Each direction makes the same calls on the same slices either way, so the
+outputs are the same bytes.  The backward loop stays single-threaded:
 it carries only dh and keeps every packed row's z | r | h pre-activation
 deltas, so the weight, bias and input gradients are one GEMM each after the
 loop (the fused-gate layout of Appleyard, Kocisky & Blunsom 2016,
@@ -82,7 +83,7 @@ from __future__ import annotations
 import contextvars
 import hashlib
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -471,26 +472,15 @@ def _bigru_forward(
     h = model.dims.hidden
     gates = np.empty((2, x.shape[0], 3 * h))
     states = np.empty((2, x.shape[0], h))
+    args = (model, x, pack, rec, gates, states)
     if x.shape[0] < PARALLEL_ROWS or _CPUS < 2:
-        _gru_directions(model, x, pack, rec, gates, states, slice(0, 2))
+        _gru_directions(*args, slice(0, 2))
         return gates, states
-    failure: list[BaseException] = []
-
-    def backward_direction() -> None:
-        try:
-            _gru_directions(model, x, pack, rec, gates, states, slice(1, 2))
-        except BaseException as exc:  # re-raised in the caller
-            failure.append(exc)
-
     # The copied context carries the caller's np.errstate into the helper.
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(backward_direction,))
-    helper.start()
-    try:
-        _gru_directions(model, x, pack, rec, gates, states, slice(0, 1))
-    finally:
-        helper.join()
-    if failure:
-        raise failure[0]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool.submit(contextvars.copy_context().run, _gru_directions, *args, slice(1, 2))
+        _gru_directions(*args, slice(0, 1))
+        helper.result()  # re-raises the helper's exception
     return gates, states
 
 
@@ -715,7 +705,7 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
     h_size = model.dims.hidden
     active = (batch.mask * (batch.labels >= 0))[..., None]
     onehot = np.zeros_like(cache.probs)
-    safe = np.clip(batch.labels, 0, 2)
+    safe = np.clip(batch.labels, 0, onehot.shape[-1] - 1)
     np.put_along_axis(onehot, safe[..., None], 1.0, axis=-1)
     dlogits = (cache.probs - onehot) * active / b
 
@@ -878,6 +868,7 @@ def _coord_rng(name: str) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+@np.errstate(all="ignore")  # a non-finite difference is reported as a failure
 def finite_difference_check(
     model: ModelParameters,
     chunk: PaddedChunk,

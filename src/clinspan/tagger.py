@@ -21,6 +21,7 @@ import numpy as np
 from . import metrics
 from .chunking import ChunkConfig, PaddedChunk, chunk_sentence, merge_chunk_predictions
 from .corpus import (
+    LABEL_TO_INDEX,
     LABELS,
     AnnotatedCorpus,
     AnnotatedSentence,
@@ -147,36 +148,30 @@ def gold_spans(sentence: AnnotatedSentence) -> list[ConceptSpan]:
     ]
 
 
-def _argmax_tags(probs: np.ndarray, mask: np.ndarray) -> list[list[str]]:
-    """Per-chunk tag strings from probability rows; ties resolve B < I < O."""
-    picks = np.argmax(probs, axis=-1)  # first max wins, i.e. B before I before O
-    out = []
-    for row, m in zip(picks, mask):
-        out.append([LABELS[k] for k, real in zip(row, m) if real > 0])
-    return out
-
-
 def _evaluate_chunks(
     model: ModelParameters, chunks: Sequence[PaddedChunk], batch_size: int = EVAL_BATCH
-) -> tuple[float, list[list[str]]]:
-    """One dropout-free forward over the chunks: summed loss and per-chunk tags."""
+) -> tuple[float, list[list[int]]]:
+    """One dropout-free forward over the chunks: summed loss and one row of
+    tag indices per chunk, pads included; ties resolve B < I < O."""
     total = 0.0
-    chunk_tags: list[list[str]] = []
+    chunk_tags: list[list[int]] = []
     for lo in range(0, len(chunks), batch_size):
-        batch = batch_chunks(chunks[lo : lo + batch_size])
-        cache = forward_batch(model, batch)
+        cache = forward_batch(model, batch_chunks(chunks[lo : lo + batch_size]))
         total += float(cache.chunk_losses.sum())
-        chunk_tags.extend(_argmax_tags(cache.probs, batch.mask))
+        chunk_tags.extend(np.argmax(cache.probs, axis=-1).tolist())  # the first max wins
         del cache  # the next batch's forward should not run while this one is alive
     return total, chunk_tags
 
 
-def _merge_by_sentence(
-    per_sentence: Sequence[list[PaddedChunk]], chunk_tags: list[list[str]]
-) -> list[list[str]]:
-    """Merged tags per sentence; ``chunk_tags`` follows the chunks in sentence order."""
-    tags = iter(chunk_tags)
-    return [merge_chunk_predictions([(c, next(tags)) for c in chunks]) for chunks in per_sentence]
+def _predict(
+    model: ModelParameters, per_sentence: Sequence[list[PaddedChunk]], batch_size: int = EVAL_BATCH
+) -> tuple[float, list[list[str]]]:
+    """One dropout-free forward over the chunks of each sentence: summed loss
+    and merged tags per sentence."""
+    total, chunk_tags = _evaluate_chunks(model, [c for cs in per_sentence for c in cs], batch_size)
+    rows = iter(chunk_tags)
+    merged = (merge_chunk_predictions([(c, next(rows)) for c in cs]) for cs in per_sentence)
+    return total, [[LABELS[k] for k in tags] for tags in merged]
 
 
 def predict_corpus_labels(
@@ -187,9 +182,7 @@ def predict_corpus_labels(
     batch_size: int = EVAL_BATCH,
 ) -> list[list[str]]:
     """Dropout-free predicted tag sequences, one per sentence."""
-    per_sentence = [chunk_sentence(s, vocab, config) for s in sentences]
-    _, chunk_tags = _evaluate_chunks(model, [c for cs in per_sentence for c in cs], batch_size)
-    return _merge_by_sentence(per_sentence, chunk_tags)
+    return _predict(model, [chunk_sentence(s, vocab, config) for s in sentences], batch_size)[1]
 
 
 def annotate_sentence(
@@ -251,9 +244,9 @@ def train(
 
     train_chunks = [c for s in train_sents for c in chunk_sentence(s, vocab, chunk_config)]
     valid_per_sentence = [chunk_sentence(s, vocab, chunk_config) for s in valid_sents]
-    valid_chunks = [c for cs in valid_per_sentence for c in cs]
     valid_gold = [[(s.start, s.end) for s in gold_spans(sent)] for sent in valid_sents]
-    if all((c.labels < 0).all() or (c.labels[c.mask] == 2).all() for c in train_chunks):
+    outside = LABEL_TO_INDEX["O"]
+    if all((c.labels < 0).all() or (c.labels[c.mask] == outside).all() for c in train_chunks):
         warnings.warn("training data contains no concept spans", stacklevel=2)
 
     state = AdamState.for_model(model)
@@ -280,8 +273,7 @@ def train(
 
         train_loss, _ = _evaluate_chunks(model, train_chunks)
         if valid_sents:
-            valid_loss, chunk_tags = _evaluate_chunks(model, valid_chunks)
-            predicted = _merge_by_sentence(valid_per_sentence, chunk_tags)
+            valid_loss, predicted = _predict(model, valid_per_sentence)
             pred = [[(s.start, s.end) for s in decode_iob(tags)] for tags in predicted]
             _, _, valid_f1 = metrics.prf(metrics.span_match_counts(valid_gold, pred))
         else:

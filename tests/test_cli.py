@@ -152,12 +152,21 @@ class TestTrainCommand:
         assert_one_line(capsys, "clinspan: numeric failure:")
         assert not model_path.exists()
 
+    def test_model_too_large_to_allocate_is_one_line_config_error(self, tmp_path, capsys):
+        # Its first tensors need hundreds of TiB, so the allocation fails at
+        # once, even where the kernel overcommits memory.
+        model_path = tmp_path / "m.bin"
+        assert run(*train_args(model_path, "--hidden", "1000000000000")) == 1
+        assert_one_line(capsys, "clinspan: config error: out of memory: Unable to allocate")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags", [
         ["--batch-size", "0"], ["--dropout", "1.0"], ["--dropout", "-0.5"], ["--hidden", "0"],
         ["--pos-dim", "0"], ["--char-filters", "0"], ["--char-widths", "3,-1"],
         ["--char-widths", "0"], ["--char-widths", "3,3"], ["--seed", "-1"],
         ["--valid-fraction", "0"], ["--min-count", "0"], ["--window", "5", "--overlap", "7"],
         ["--lr", "-1"], ["--clip-norm", "0"],
+        ["--epochs", "x"], ["--train-word-embeddings", "maybe"],  # values that do not parse
     ])
     def test_invalid_value_is_config_error(self, flags, tmp_path, capsys):
         model_path = tmp_path / "m.bin"
@@ -595,6 +604,12 @@ class TestGradcheckCommand:
         assert_one_line(capsys, "clinspan: config error: gradcheck")
         assert capsys.readouterr().out == ""
 
+    def test_overflowing_step_fails_without_a_warning(self, capsys):
+        assert run("gradcheck", "--step", "1e308") == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].startswith("gradcheck FAILED")
+
     def test_negative_seed_is_a_config_error(self, capsys):
         assert run("gradcheck", "--seed", "-1") == 1
         err = capsys.readouterr().err
@@ -615,6 +630,10 @@ class TestParserBehavior:
 
     def test_bad_flag_value_is_usage_error(self, capsys):
         assert main(["stats", "x.txt", "--window", "many"]) == 1
+        assert_one_line(capsys, "clinspan: argument --window: invalid int value: 'many'")
+        assert main(["tag", "--model", "m.bin"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("(see 'clinspan tag --help')\n"), err
 
     def test_defaults_match_published_values(self):
         from_cli, paths = build_run_config(build_parser().parse_args(["train"]))

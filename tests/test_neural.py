@@ -898,6 +898,28 @@ class TestThreadedDirections:
             forward_batch(_probe_model(), _wide_batch())
         assert threading.enumerate() == before
 
+    def test_caller_exception_propagates_after_the_helper_is_joined(self, monkeypatch):
+        monkeypatch.setattr(neural, "_CPUS", 2)
+        monkeypatch.setattr(neural, "PARALLEL_ROWS", 1)
+        caller = threading.get_ident()
+        original = neural._sigmoid
+        helper_steps = []
+
+        def failing(x):
+            if threading.get_ident() == caller:
+                raise RuntimeError("caller failed")
+            time.sleep(0.01)  # the helper is still running when the caller fails
+            helper_steps.append(x.shape)
+            return original(x)
+
+        monkeypatch.setattr(neural, "_sigmoid", failing)
+        before = threading.enumerate()
+        batch = _wide_batch()
+        with pytest.raises(RuntimeError, match="caller failed"):
+            forward_batch(_probe_model(), batch)
+        assert threading.enumerate() == before
+        assert len(helper_steps) == int(batch.mask.sum(axis=1).max())  # it ran to the end
+
     def test_caller_errstate_applies_in_the_helper(self, monkeypatch):
         monkeypatch.setattr(neural, "_CPUS", 2)
         monkeypatch.setattr(neural, "PARALLEL_ROWS", 1)

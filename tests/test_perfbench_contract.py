@@ -110,3 +110,18 @@ def test_threaded_forward_leaves_a_finished_trace(bench, trained, overfit_corpus
     assert convolutions
     for i in convolutions:
         assert index.spans[index.spans[i].parent].name == "neural.forward_batch"
+
+
+def test_one_merge_span_per_predicted_sentence(bench, trained, overfit_corpus):
+    # chunking.merge_chunk_predictions_s is the time of these spans, one per sentence.
+    model, vocab, config = trained
+    sentences = overfit_corpus.sentences * 2
+    spans = bench["spans"]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        predict_corpus_labels(model, vocab, sentences, config.chunk_config)
+    finally:
+        tracer.uninstall()
+    merges = spans.SpanIndex(tracer.spans).of("chunking.merge_chunk_predictions")
+    assert len(merges) == len(sentences)

@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clinspan import neural, tagger
-from clinspan.chunking import ChunkConfig, chunk_sentence
-from clinspan.corpus import UNK_INDEX, ConceptSpan, build_vocab, decode_iob, stratified_split
+from clinspan.chunking import ChunkConfig, chunk_sentence, merge_chunk_predictions
+from clinspan.corpus import (
+    LABELS, UNK_INDEX, ConceptSpan, build_vocab, decode_iob, stratified_split,
+)
 from clinspan.features import EmbeddingTable
 from clinspan.metrics import prf, span_match_counts
 from clinspan.neural import (
@@ -176,6 +178,27 @@ class TestAnnotateSentence:
         first = annotate_sentence(model, vocab, sentence, ChunkConfig())
         second = annotate_sentence(model, vocab, sentence, ChunkConfig())
         assert first == second
+
+    @pytest.mark.parametrize("batch_size", [1, 3, EVAL_BATCH])
+    def test_predictions_equal_merged_tag_strings(self, batch_size):
+        # Sentences of 1, 2, 3 and 4 chunks; a batch of 3 splits some sentences.
+        model, vocab = self._model_vocab(seed=1)
+        config = ChunkConfig()
+        sentences = [
+            make_sentence([(f"w{(i * 5 + n) % 7}", "O") for i in range(n)], sent_index=n)
+            for n in (5, 25, 40, 60)
+        ]
+        expected = []
+        for sentence in sentences:
+            chunks = chunk_sentence(sentence, vocab, config)
+            pairs = []
+            for chunk in chunks:
+                probs = forward_batch(model, batch_chunks([chunk])).probs[0]
+                pairs.append((chunk, [LABELS[k] for k in np.argmax(probs[: chunk.real_count], -1)]))
+            expected.append(merge_chunk_predictions(pairs))
+        assert [len(chunk_sentence(s, vocab, config)) for s in sentences] == [1, 2, 3, 4]
+        assert len({tag for tags in expected for tag in tags}) > 1
+        assert predict_corpus_labels(model, vocab, sentences, config, batch_size) == expected
 
     def test_oov_words_map_to_unk_without_error(self):
         model, vocab = self._model_vocab(seed=2)
