@@ -19,7 +19,6 @@ from .corpus import (
 from .features import (
     CharCnnParams,
     EmbeddingTable,
-    PosEmbedding,
     load_embeddings,
 )
 from .metrics import EvalResult, evaluation_report, prf, span_match_counts, token_accuracy

@@ -45,8 +45,8 @@ class PaddedChunk:
     position of slot 0, and the chunks of a sentence sit at offsets 0,
     stride, 2*stride, ...  The arrays from ``chunk_sentence`` are shared
     with the overlapping neighbours, and all but the char ids are read-only
-    views.  Labels are tag indices with -1 on pad slots (None for unlabeled
-    input).
+    views.  Labels are tag indices with -1 on pad slots; unlabeled input
+    reads as ``O``.
     """
 
     word_ids: np.ndarray  # (window,) int64
@@ -54,7 +54,7 @@ class PaddedChunk:
     char_ids: tuple[np.ndarray, ...]  # per slot, empty for pad slots
     mask: np.ndarray  # (window,) bool
     sentence_offset: int
-    labels: np.ndarray | None = None  # (window,) int64, -1 at pads
+    labels: np.ndarray  # (window,) int64, -1 at pads
 
     @property
     def window(self) -> int:

@@ -40,7 +40,6 @@ from .tagger import (
     ArchiveError,
     TrainConfig,
     format_history,
-    gold_spans,
     load_model,
     predict_corpus_labels,
     save_model,
@@ -151,11 +150,14 @@ def _writing(path: str):
 @contextmanager
 def _reading(path: str, what: str, not_utf8: type[Exception] = DataError):
     """An unreadable file is a ConfigError; bytes that are not UTF-8 raise
-    ``not_utf8`` naming the offset and line of the first bad byte."""
+    ``not_utf8`` naming the offset and line of the first bad byte; a
+    ParseError becomes a DataError naming the file."""
     try:
         yield
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except ParseError as exc:
+        raise DataError(f"{what} {path}: {exc}") from None
     except UnicodeDecodeError:
         data = Path(path).read_bytes()
         try:
@@ -278,7 +280,7 @@ def _eval_corpus_mode(gold_path: str, system_path: str) -> metrics.EvalResult:
     gold_tag_seqs = [g.labels() for g in gold.sentences]
     system_tag_seqs = [s.labels() for s in system.sentences]
     gold_span_lists = [
-        [(sp.start, sp.end) for sp in gold_spans(s)] for s in gold.sentences
+        [(sp.start, sp.end) for sp in decode_iob(tags)] for tags in gold_tag_seqs
     ]
     system_span_lists = [
         [(sp.start, sp.end) for sp in decode_iob(tags)] for tags in system_tag_seqs
@@ -290,35 +292,35 @@ def _eval_corpus_mode(gold_path: str, system_path: str) -> metrics.EvalResult:
 
 def _read_span_file(path: str, which: str) -> dict[tuple[str, int], list[tuple[int, int]]]:
     """Spans by (doc id, sentence index), each list sorted.  Raises DataError
-    naming the file, the sentence and both lines when two spans of one
-    sentence overlap."""
+    naming the file and the line of a malformed line, and the file, the
+    sentence and both lines when two spans of one sentence overlap."""
     spans: dict[tuple[str, int], list[tuple[int, int, int]]] = {}  # (start, end, line)
     with _reading(path, "span file"):
         text = Path(path).read_text(encoding="utf-8")
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ParseError("expected 'doc_id sent_index start end'", line_number)
-        try:
-            key = (parts[0], int(parts[1]))
-            span = (int(parts[2]), int(parts[3]))
-        except ValueError:
-            raise ParseError("non-integer span field", line_number) from None
-        if not 0 <= span[0] < span[1]:
-            raise ParseError(f"invalid span {span}: need 0 <= start < end", line_number)
-        found = spans.setdefault(key, [])
-        i = bisect.bisect_left(found, span)
-        # The spans found so far do not overlap, so only the neighbours can.
-        for start, end, other in found[max(i - 1, 0) : i + 1]:
-            if start < span[1] and span[0] < end:
-                raise DataError(
-                    f"{which} spans overlap: {path} line {line_number}: "
-                    f"[{span[0]}, {span[1]}) overlaps [{start}, {end}) of line {other} "
-                    f"in doc {key[0]} sentence {key[1]}"
-                )
-        found.insert(i, (*span, line_number))
+        for line_number, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != 4:
+                raise ParseError("expected 'doc_id sent_index start end'", line_number)
+            try:
+                key = (parts[0], int(parts[1]))
+                span = (int(parts[2]), int(parts[3]))
+            except ValueError:
+                raise ParseError("non-integer span field", line_number) from None
+            if not 0 <= span[0] < span[1]:
+                raise ParseError(f"invalid span {span}: need 0 <= start < end", line_number)
+            found = spans.setdefault(key, [])
+            i = bisect.bisect_left(found, span)
+            # The spans found so far do not overlap, so only the neighbours can.
+            for start, end, other in found[max(i - 1, 0) : i + 1]:
+                if start < span[1] and span[0] < end:
+                    raise DataError(
+                        f"{which} spans overlap: {path} line {line_number}: "
+                        f"[{span[0]}, {span[1]}) overlaps [{start}, {end}) of line {other} "
+                        f"in doc {key[0]} sentence {key[1]}"
+                    )
+            found.insert(i, (*span, line_number))
     return {key: [(start, end) for start, end, _ in found] for key, found in spans.items()}
 
 

@@ -3,8 +3,10 @@
 Each real token t gets the concatenation of its word-table row, its POS-table
 row, and a character-CNN vector (one max-over-time pooled ReLU convolution
 per filter per kernel width); the neural module builds these rows for the
-real slots of a batch.  Row 0 (PAD) of every table is all zeros and stays
-frozen through training.
+real slots of a batch.  One char-CNN call stacks the windows of all its
+tokens per width in one ragged array, for one gather and one GEMM, so its
+memory follows the total number of chars, not the longest token.  Row 0
+(PAD) of every table is all zeros and stays frozen through training.
 
 Tables are read-only during featurization; the single writer during training
 is the optimizer step (see the neural module).
@@ -21,21 +23,10 @@ from .corpus import PAD_INDEX, UNK_INDEX, ParseError, Vocabulary
 
 @dataclass
 class EmbeddingTable:
-    """Word-vector table aligned to the word vocabulary; static by default."""
+    """An embedding table: the word vectors aligned to the word vocabulary,
+    or the POS-tag table."""
 
-    matrix: np.ndarray  # (V, D_w) float64
-    trainable: bool = False
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-
-@dataclass
-class PosEmbedding:
-    """Low-dimensional trainable POS-tag table."""
-
-    matrix: np.ndarray  # (P, D_p) float64
+    matrix: np.ndarray  # (V, D) float64
 
     @property
     def dim(self) -> int:
@@ -66,11 +57,11 @@ class CharCnnParams:
 
 @dataclass
 class CharTrace:
-    """Forward-pass state of one token's char CNN, kept for backprop."""
+    """Forward-pass state of one char-CNN call, kept for backprop."""
 
     window_ids: list[np.ndarray]  # per width: (P, k) char indices
     pre: list[np.ndarray]  # per width: (P, F) pre-ReLU activations
-    best: list[np.ndarray]  # per width: (F,) argmax window per filter
+    best: list[np.ndarray]  # per width: (N, F) argmax window row per filter
 
 
 def load_embeddings(stream, vocab: Vocabulary) -> EmbeddingTable:
@@ -121,7 +112,7 @@ def load_embeddings(stream, vocab: Vocabulary) -> EmbeddingTable:
             continue
         row = file_rows.get(word)
         matrix[index] = row if row is not None else _hashed_row(word, dim)
-    return EmbeddingTable(matrix=matrix, trainable=False)
+    return EmbeddingTable(matrix)
 
 
 def _hashed_row(word: str, dim: int) -> np.ndarray:
@@ -130,37 +121,41 @@ def _hashed_row(word: str, dim: int) -> np.ndarray:
     return rng.uniform(-0.5 / dim, 0.5 / dim, size=dim)
 
 
-def char_cnn_trace(chars: np.ndarray, params: CharCnnParams) -> tuple[np.ndarray, CharTrace]:
-    """Char-CNN forward for one token, returning the fixed-size vector and the
-    trace its backward needs.
+def char_cnn_trace(seqs: list[np.ndarray], params: CharCnnParams) -> tuple[np.ndarray, CharTrace]:
+    """Char-CNN forward for N tokens, returning their vectors (N, F*W) and the
+    trace their backward needs.
 
-    Indices outside the char table map to UNK.  Tokens shorter than a kernel
-    width are left-padded with the PAD character (whose embedding row is all
-    zeros) to yield exactly one window.  Pooling covers only windows over the
-    real sequence, so trailing PAD characters never change the output.
+    Indices outside the char table map to UNK.  A token's real length runs
+    through its last non-PAD char and is at least 1; positions before it
+    read PAD (whose embedding row is all zeros), so a token shorter than a
+    kernel width yields exactly one window.  Ties pool to the first window.
     """
-    n_chars = params.char_table.shape[0]
-    chars = np.where((chars >= 0) & (chars < n_chars), chars, UNK_INDEX)
-    # Trailing PAD characters are padding by definition; dropping them keeps
-    # pooling over real positions only.
-    real = np.nonzero(chars != PAD_INDEX)[0]
-    chars = chars[: real[-1] + 1] if real.size else chars[:1]
-    trace = CharTrace(window_ids=[], pre=[], best=[])
-    outputs = []
+    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    ids = np.concatenate([*seqs, [PAD_INDEX]]).astype(np.int64)  # index -1 reads PAD
+    ids = np.where((ids >= 0) & (ids < params.char_table.shape[0]), ids, UNK_INDEX)
+    owner = np.repeat(np.arange(len(seqs)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    nonpad = np.flatnonzero(ids[:-1] != PAD_INDEX)
+    real = np.ones(len(seqs), dtype=np.intp)
+    np.maximum.at(real, owner[nonpad], nonpad - starts[owner[nonpad]] + 1)
+    starts[lengths == 0] = -1  # an empty token reads the sentinel
+    per_width = []  # (vectors, window ids, pre-activations, argmax rows)
     for width, filters, bias in zip(params.widths, params.filters, params.biases):
-        seq = chars
-        if len(seq) < width:
-            seq = np.concatenate(
-                [np.full(width - len(seq), PAD_INDEX, dtype=np.int64), seq]
-            )
-        n_windows = len(seq) - width + 1
-        window_ids = seq[np.arange(n_windows)[:, None] + np.arange(width)]  # (P, k)
-        embedded = params.char_table[window_ids].reshape(n_windows, -1)
+        counts = np.maximum(real - width + 1, 1)
+        first = np.cumsum(counts) - counts  # each token's first window row
+        token = np.repeat(np.arange(len(seqs)), counts)
+        rows = np.arange(token.size)
+        # Window row r of token t starts at position r - first[t] + min(real, k) - k,
+        # so its windows end at min(real, k) - 1 ... real - 1; before 0 is the sentinel.
+        start = rows + (np.minimum(real, width) - width - first)[token]
+        pos = start[:, None] + np.arange(width)
+        window_ids = ids[np.where(pos >= 0, starts[token, None] + pos, -1)]  # (P, k)
+        embedded = params.char_table[window_ids].reshape(token.size, filters[0].size)
         pre = embedded @ filters.reshape(filters.shape[0], -1).T + bias
         scores = np.maximum(pre, 0.0)
-        best = np.argmax(scores, axis=0)
-        outputs.append(scores[best, np.arange(scores.shape[1])])
-        trace.window_ids.append(window_ids)
-        trace.pre.append(pre)
-        trace.best.append(best)
-    return np.concatenate(outputs), trace
+        top = np.maximum.reduceat(scores, first, axis=0)  # (N, F)
+        # The first window reaching the max (a NaN max picks the token's first).
+        hit_rows = np.where(scores < top[token], token.size, rows[:, None])
+        per_width.append((top, window_ids, pre, np.minimum.reduceat(hit_rows, first, axis=0)))
+    outputs, *trace = map(list, zip(*per_width))
+    return np.concatenate(outputs, axis=1), CharTrace(*trace)

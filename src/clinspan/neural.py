@@ -16,20 +16,20 @@ GRU cell convention (fixed throughout):
 Recurrent dropout is variational: one mask per chunk per direction, applied
 to h_prev where it enters the gates (the state carry itself is undropped).
 
-Compute layout.  Within a batch the char CNN runs once per distinct char-id
-sequence among the real slots, and each slot gathers its vector through an
-index; backward sums the slots' gradients per sequence before going through
-that sequence's trace once, which is exact because the char CNN's backward
-is linear in its output gradient.  Only real slots are featurized: the real
+Compute layout.  Each real slot gathers its char vector through an index
+into the batch's distinct char-id sequences; the forward runs the char CNN
+as one call over those the memo does not serve, and keeps no trace.
+Backward recomputes one call over all of them and sums the slots' gradients
+per sequence first, which is exact because the char CNN's backward is
+linear in its output gradient.  Only real slots are featurized: the real
 slots of a chunk must be a prefix of its window, and feature rows hold them
 in row-major order.
 
 Only a model from ``load_model`` has a ``char_memo`` (char-id bytes -> the
 char-CNN vector's float64 bytes).  It is filled lazily with the sequences
 of in-vocabulary slots (word id > UNK), at most one per word-table row; OOV
-sequences are never stored.  A hit skips the CNN and leaves a ``None``
-trace that backward recomputes.  If a char tensor is writeable at the start
-of a forward, the memo is dropped for good, so it never serves a stale row.
+sequences are never stored.  If a char tensor is writeable at the start of
+a forward, the memo is dropped for good, so it never serves a stale row.
 Concurrent forwards may share it: inserts are idempotent and a dict store
 is atomic under the GIL.
 
@@ -95,7 +95,6 @@ from .features import (
     CharCnnParams,
     CharTrace,
     EmbeddingTable,
-    PosEmbedding,
     char_cnn_trace,
 )
 
@@ -193,7 +192,7 @@ class ModelParameters:
     tensors: dict[str, np.ndarray]
     word_table_trainable: bool
     word_table: EmbeddingTable = field(init=False, repr=False, compare=False)
-    pos_table: PosEmbedding = field(init=False, repr=False, compare=False)
+    pos_table: EmbeddingTable = field(init=False, repr=False, compare=False)
     char_params: CharCnnParams = field(init=False, repr=False, compare=False)
     gru_fwd: GruDirectionParams = field(init=False, repr=False, compare=False)
     gru_bwd: GruDirectionParams = field(init=False, repr=False, compare=False)
@@ -219,8 +218,8 @@ class ModelParameters:
             for prefix in ("gru_fwd", "gru_bwd")
         )
         widths = self.dims.char_widths
-        self.word_table = EmbeddingTable(t["word_table"], self.word_table_trainable)
-        self.pos_table = PosEmbedding(t["pos_table"])
+        self.word_table = EmbeddingTable(t["word_table"])
+        self.pos_table = EmbeddingTable(t["pos_table"])
         self.char_params = CharCnnParams(
             char_table=t["char_table"],
             widths=widths,
@@ -277,10 +276,11 @@ def init_parameters(
     vocab: Vocabulary,
     word_table: EmbeddingTable,
     rng: np.random.Generator,
+    word_table_trainable: bool = False,
 ) -> ModelParameters:
     """Glorot-uniform weight matrices, zero biases, uniform embedding tables.
 
-    The word table is adopted as given (its PAD row is re-zeroed); POS and
+    The word table is copied in as given (its PAD row is re-zeroed); POS and
     char tables draw uniform rows of scale sqrt(3/dim) with frozen zero PAD
     rows.  The RNG draw order is fixed so a seed fully determines the model.
     """
@@ -308,7 +308,7 @@ def init_parameters(
         arr[...] = rng.uniform(-limit, limit, size=arr.shape)
     for name in FROZEN_ROW_TABLES:
         tensors[name][0] = 0.0
-    return ModelParameters(dims, tensors, word_table.trainable)
+    return ModelParameters(dims, tensors, word_table_trainable)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +320,7 @@ class ChunkBatch:
     word_ids: np.ndarray  # (B, T) int64
     pos_ids: np.ndarray  # (B, T) int64
     mask: np.ndarray  # (B, T) float64, 1.0 at real slots
-    labels: np.ndarray  # (B, T) int64, -1 at pads / unlabeled
+    labels: np.ndarray  # (B, T) int64, -1 at pads
     chars: list[tuple[np.ndarray, ...]]
 
     @property
@@ -334,17 +334,11 @@ def batch_chunks(chunks: Sequence[PaddedChunk]) -> ChunkBatch:
     window = chunks[0].window
     if any(c.window != window for c in chunks):
         raise ValueError("all chunks in a batch must share the window size")
-    labels = np.stack(
-        [
-            c.labels if c.labels is not None else np.full(window, -1, dtype=np.int64)
-            for c in chunks
-        ]
-    )
     return ChunkBatch(
         word_ids=np.stack([c.word_ids for c in chunks]),
         pos_ids=np.stack([c.pos_ids for c in chunks]),
         mask=np.stack([c.mask for c in chunks]).astype(np.float64),
-        labels=labels,
+        labels=np.stack([c.labels for c in chunks]),
         chars=[c.char_ids for c in chunks],
     )
 
@@ -489,8 +483,7 @@ class ForwardCache:
     batch: ChunkBatch
     pack: Packing
     inputs: np.ndarray  # (R, D) feature rows after input dropout
-    char_traces: list[CharTrace | None]  # per distinct char sequence; None if memoized
-    char_index: np.ndarray  # per feature row, its entry in char_traces
+    char_index: np.ndarray  # per feature row, its distinct char sequence (first-slot order)
     gates: np.ndarray  # (2, R, 3H) by packed row: z | r | candidate
     states: np.ndarray  # (2, R, H) by packed row
     rec: np.ndarray | None  # (2, B, H) recurrent masks in packed chunk order
@@ -502,15 +495,10 @@ class ForwardCache:
 
 def _featurize_batch(
     model: ModelParameters, batch: ChunkBatch, pack: Packing
-) -> tuple[np.ndarray, list[CharTrace | None], np.ndarray]:
-    """Feature rows of the real slots, plus the char-CNN traces and the row
-    index into them.
-
-    The char CNN runs once per distinct char-id sequence among the real
-    slots; each feature row gathers its vector through the returned index.
-    A sequence found in the model's ``char_memo`` is not computed and its
-    trace is ``None``.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows of the real slots, plus each row's index into the batch's
+    distinct char-id sequences (in first-slot order).  One ``char_cnn_trace``
+    call computes the sequences the ``char_memo`` does not serve, if any."""
     char = model.char_params
     memo = model.char_memo
     n_words = model.word_table.matrix.shape[0]
@@ -524,33 +512,29 @@ def _featurize_batch(
     rows = np.empty((pack.slot_i.size, model.dims.feature_dim))
     rows[:, :d_w] = model.word_table.matrix[word_ids]
     rows[:, d_w : d_w + d_p] = model.pos_table.matrix[batch.pos_ids[pack.slot_i, pack.slot_t]]
-    seen: dict[bytes, int] = {}
-    traces: list[CharTrace | None] = []
-    vectors: list[np.ndarray] = []
+    seen: dict[bytes, int] = {}  # char-id bytes -> distinct sequence
     index = np.empty(pack.slot_i.size, dtype=np.intp)
-    slots = zip(pack.slot_i.tolist(), pack.slot_t.tolist(), word_ids.tolist())
-    for k, (i, t, word) in enumerate(slots):
-        chars = np.asarray(batch.chars[i][t], dtype=np.int64)
-        key = chars.tobytes()
-        j = seen.get(key)
-        if j is None:
-            j = seen[key] = len(traces)
-            hit = memo.get(key) if memo is not None else None
-            if hit is not None:
-                vec, trace = np.frombuffer(hit), None
-            else:
-                vec, trace = char_cnn_trace(chars, char)
-                # Vocabulary words only: the memo stays bounded and holds no OOV.
-                # Stored as bytes: thousands of small long-lived numpy buffers
-                # fragment the malloc heap and raised peak RSS by up to 3.5 MB.
-                if memo is not None and word > UNK_INDEX and len(memo) < n_words:
-                    memo[key] = vec.tobytes()
-            vectors.append(vec)
-            traces.append(trace)
-        index[k] = j
-    if traces:
-        rows[:, d_w + d_p :] = np.stack(vectors)[index]
-    return rows, traces, index
+    for k, (i, t) in enumerate(zip(pack.slot_i.tolist(), pack.slot_t.tolist())):
+        key = np.asarray(batch.chars[i][t], dtype=np.int64).tobytes()
+        index[k] = seen.setdefault(key, len(seen))
+    keys = list(seen)
+    hits = [memo.get(key) for key in keys] if memo is not None else [None] * len(keys)
+    miss = [j for j, hit in enumerate(hits) if hit is None]
+    served = [j for j, hit in enumerate(hits) if hit is not None]
+    vectors = np.empty((len(keys), char.output_dim))
+    vectors[served] = np.frombuffer(b"".join(hits[j] for j in served)).reshape(-1, char.output_dim)
+    if miss:
+        vectors[miss] = char_cnn_trace([np.frombuffer(keys[j], np.int64) for j in miss], char)[0]
+    if memo is not None:
+        # Vocabulary words only: the memo stays bounded and holds no OOV.
+        # Stored as bytes: thousands of small long-lived numpy buffers
+        # fragment the malloc heap and raised peak RSS by up to 3.5 MB.
+        words = word_ids[np.unique(index, return_index=True)[1]]  # at each first slot
+        for j in miss:
+            if words[j] > UNK_INDEX and len(memo) < n_words:
+                memo[keys[j]] = vectors[j].tobytes()
+    rows[:, d_w + d_p :] = vectors[index]
+    return rows, index
 
 
 def forward_batch(
@@ -562,7 +546,7 @@ def forward_batch(
     window.
     """
     pack = _pack(batch.mask)
-    features, traces, char_index = _featurize_batch(model, batch, pack)
+    features, char_index = _featurize_batch(model, batch, pack)
     inputs, rec = features, None
     if plan is not None:
         inputs = features * plan.input_mask[pack.slot_i, pack.slot_t]
@@ -578,7 +562,6 @@ def forward_batch(
         batch=batch,
         pack=pack,
         inputs=inputs,
-        char_traces=traces,
         char_index=char_index,
         gates=gates,
         states=states,
@@ -668,29 +651,25 @@ def _bigru_backward(
 
 
 def _char_cnn_backward(
-    char: CharCnnParams, traces: list[CharTrace], d_vecs: np.ndarray
+    char: CharCnnParams, trace: CharTrace, d_vecs: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Char-table, filter and bias gradients given d(output) per trace (U, F*W).
+    """Char-table, filter and bias gradients of one ``char_cnn_trace`` call
+    given d(output) per token (N, F*W).
 
-    The windows of all traces are stacked per kernel width, so each filter
-    bank takes one GEMM per gradient and one scatter into the char table.
+    Each filter bank takes one GEMM per gradient and one scatter into the
+    char table over the call's stacked windows.
     """
     n_f = char.n_filters
     g_table = np.zeros_like(char.char_table)
     g_filters = [np.zeros_like(f) for f in char.filters]
     g_biases = [np.zeros_like(bb) for bb in char.biases]
-    if not traces:
-        return g_table, g_filters, g_biases
     for wi, (width, filters) in enumerate(zip(char.widths, char.filters)):
-        win = np.concatenate([tr.window_ids[wi] for tr in traces])  # (P, k)
-        pre = np.concatenate([tr.pre[wi] for tr in traces])  # (P, F)
-        first_row = np.cumsum([0] + [tr.pre[wi].shape[0] for tr in traces[:-1]])
-        best = np.stack([tr.best[wi] for tr in traces]) + first_row[:, None]  # (U, F)
+        win, pre, best = trace.window_ids[wi], trace.pre[wi], trace.best[wi]
         d_scores = np.zeros_like(pre)
         d_scores[best, np.arange(n_f)] = d_vecs[:, wi * n_f : (wi + 1) * n_f]
         d_pre = d_scores * (pre > 0)
         g_biases[wi] += d_pre.sum(axis=0)
-        emb = char.char_table[win].reshape(win.shape[0], -1)
+        emb = char.char_table[win].reshape(win.shape[0], filters[0].size)
         g_filters[wi] += (d_pre.T @ emb).reshape(n_f, width, char.char_dim)
         d_emb = (d_pre @ filters.reshape(n_f, -1)).reshape(win.shape[0], width, char.char_dim)
         np.add.at(g_table, win, d_emb)
@@ -733,17 +712,15 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
     grads["pos_table"] = g_pos
 
     # The char CNN's backward is linear in d(output), so slots that share a
-    # char sequence (and so a trace) can sum their gradients first.
-    # Sequences the memo served have no trace: recompute it from their first slot.
+    # char sequence can sum their gradients first.  One call over the first
+    # slot of each distinct sequence recomputes the trace.
     char = model.char_params
     first = np.unique(cache.char_index, return_index=True)[1]
-    traces = [
-        trace or char_cnn_trace(np.asarray(batch.chars[i][t], dtype=np.int64), char)[1]
-        for trace, i, t in zip(cache.char_traces, pack.slot_i[first], pack.slot_t[first])
-    ]
-    d_chars = np.zeros((len(traces), char.output_dim))
+    seqs = [batch.chars[i][t] for i, t in zip(pack.slot_i[first], pack.slot_t[first])]
+    d_chars = np.zeros((first.size, char.output_dim))
     np.add.at(d_chars, cache.char_index, dx[:, d_w + d_p :])
-    g_char_table, g_filters, g_biases = _char_cnn_backward(char, traces, d_chars)
+    _, trace = char_cnn_trace(seqs, char)
+    g_char_table, g_filters, g_biases = _char_cnn_backward(char, trace, d_chars)
     grads["char_table"] = g_char_table
     for width, gf, gb in zip(char.widths, g_filters, g_biases):
         grads[f"char_filters_w{width}"] = gf
@@ -754,9 +731,7 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
 def backward(model: ModelParameters, chunk: PaddedChunk) -> dict[str, np.ndarray]:
     """Exact gradients of the chunk's summed cross-entropy against its own
     labels w.r.t. every trainable tensor (frozen tensors are simply absent
-    from the result).  Raises ValueError for a chunk without labels."""
-    if chunk.labels is None:
-        raise ValueError("chunk carries no labels")
+    from the result)."""
     return backward_from_cache(model, forward_batch(model, batch_chunks([chunk])))
 
 
@@ -966,9 +941,7 @@ def build_probe(
     )
     word_matrix = rng.normal(0.0, 0.4, size=(vocab.word_size, word_dim))
     word_matrix[0] = 0.0
-    model = init_parameters(
-        dims, vocab, EmbeddingTable(word_matrix, trainable=trainable_words), rng
-    )
+    model = init_parameters(dims, vocab, EmbeddingTable(word_matrix), rng, trainable_words)
 
     word_ids = np.zeros(window, dtype=np.int64)
     pos_ids = np.zeros(window, dtype=np.int64)

@@ -140,14 +140,6 @@ class TrainHistory:
     stopped_epoch: int = 0
 
 
-def gold_spans(sentence: AnnotatedSentence) -> list[ConceptSpan]:
-    """Spans decoded from the gold labels, tagged with the sentence they belong to."""
-    return [
-        ConceptSpan(s.start, s.end, doc_id=sentence.doc_id, sent_index=sentence.sent_index)
-        for s in decode_iob(sentence.labels())
-    ]
-
-
 def _evaluate_chunks(
     model: ModelParameters, chunks: Sequence[PaddedChunk], batch_size: int = EVAL_BATCH
 ) -> tuple[float, list[list[int]]]:
@@ -236,17 +228,13 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     dims = config.model_dims(embeddings.dim)
-    word_table = EmbeddingTable(
-        embeddings.matrix.astype(np.float64, copy=True),
-        trainable=config.train_word_embeddings,
-    )
-    model = init_parameters(dims, vocab, word_table, rng)
+    model = init_parameters(dims, vocab, embeddings, rng, config.train_word_embeddings)
 
     train_chunks = [c for s in train_sents for c in chunk_sentence(s, vocab, chunk_config)]
     valid_per_sentence = [chunk_sentence(s, vocab, chunk_config) for s in valid_sents]
-    valid_gold = [[(s.start, s.end) for s in gold_spans(sent)] for sent in valid_sents]
+    valid_gold = [[(s.start, s.end) for s in decode_iob(sent.labels())] for sent in valid_sents]
     outside = LABEL_TO_INDEX["O"]
-    if all((c.labels < 0).all() or (c.labels[c.mask] == outside).all() for c in train_chunks):
+    if all((c.labels[c.mask] == outside).all() for c in train_chunks):
         warnings.warn("training data contains no concept spans", stacklevel=2)
 
     state = AdamState.for_model(model)

@@ -35,7 +35,6 @@ from clinspan.tagger import (
     ArchiveVersionError,
     TrainConfig,
     annotate_sentence,
-    gold_spans,
     load_model,
     predict_corpus_labels,
     save_model,
@@ -106,7 +105,7 @@ def test_criterion_2_overfit_oracle(overfit_run):
         assert history.epochs[-1].train_loss < 0.05 * uniform_loss
 
         predicted = predict_corpus_labels(model, vocab, train_sents, chunk_config)
-        gold = [[(s.start, s.end) for s in gold_spans(x)] for x in train_sents]
+        gold = [[(s.start, s.end) for s in decode_iob(x.labels())] for x in train_sents]
         pred = [[(s.start, s.end) for s in decode_iob(tags)] for tags in predicted]
         _, _, f1 = prf(span_match_counts(gold, pred))
         assert f1 >= 0.99, f"train span F1 {f1:.4f}"

@@ -528,7 +528,7 @@ class TestEvalCommand:
         spans.write_text(f"0 0 0 4\n{line}\n")
         assert run("eval", "--gold", str(spans), "--system", str(spans),
                    "--format", "spans") == 2
-        assert_one_line(capsys, "clinspan: data error: line 2: invalid span")
+        assert_one_line(capsys, f"clinspan: data error: span file {spans}: line 2: invalid span")
 
     def test_overlapping_spans_are_data_error(self, tmp_path, capsys):
         spans = tmp_path / "overlap.spans"
@@ -555,6 +555,38 @@ class TestEvalCommand:
         assert capsys.readouterr().err == (
             f"clinspan: data error: system spans overlap: {system} {expected}\n"
         )
+
+
+class TestParseErrorsNameTheirFile:
+    def test_bad_system_span_line(self, tmp_path, capsys):
+        gold = tmp_path / "gold.spans"
+        gold.write_text("0 0 0 4\n")
+        system = tmp_path / "system.spans"
+        system.write_text("0 0 x 4\n")
+        assert run("eval", "--gold", str(gold), "--system", str(system),
+                   "--format", "spans") == 2
+        assert capsys.readouterr().err == (
+            f"clinspan: data error: span file {system}: line 1: non-integer span field\n"
+        )
+
+    def test_bad_gold_corpus_in_eval(self, tmp_path, capsys):
+        gold = tmp_path / "gold.txt"
+        gold.write_text("fever NOUN B\ncough NOUN Q\n")
+        system = str(DATA_DIR / "stats_corpus.txt")
+        assert run("eval", "--gold", str(gold), "--system", system) == 2
+        assert_one_line(capsys, f"clinspan: data error: corpus {gold}: line 2: ")
+
+    def test_non_finite_embedding_in_train(self, tmp_path, capsys):
+        lines = (DATA_DIR / "overfit_embeddings.txt").read_text().splitlines()
+        fields = lines[2].split()
+        lines[2] = " ".join([fields[0], "nan", *fields[2:]])
+        bad = tmp_path / "emb.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(*train_args(tmp_path / "m.bin", "--embeddings", str(bad))) == 2
+        assert capsys.readouterr().err == (
+            f"clinspan: data error: embeddings {bad}: line 3: non-finite embedding value\n"
+        )
+        assert not (tmp_path / "m.bin").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clinspan.chunking import ChunkConfig, chunk_sentence
 from clinspan.corpus import ParseError, build_vocab
 from clinspan.features import (
     CharCnnParams,
     EmbeddingTable,
-    PosEmbedding,
     char_cnn_trace,
     load_embeddings,
 )
@@ -19,7 +21,9 @@ from clinspan.neural import (
     ModelDims,
     ModelParameters,
     batch_chunks,
+    build_probe,
     forward_batch,
+    init_parameters,
 )
 
 from conftest import make_corpus, make_sentence, parse_text
@@ -38,7 +42,10 @@ class TestLoadEmbeddings:
             table.matrix[vocab.word_index("mg")], [0.1, -0.2, 0.3, 4.0]
         )
         assert table.dim == 4
-        assert not table.trainable
+        dims = ModelDims(word_dim=4, pos_dim=2, char_dim=2, char_filters=2, char_widths=(2,),
+                         hidden=2, window=4, overlap=1)
+        model = init_parameters(dims, vocab, table, np.random.default_rng(0))
+        assert not model.word_table_trainable  # static by default
 
     def test_missing_word_row_is_deterministic(self):
         vocab = _vocab()
@@ -87,7 +94,47 @@ def _single_filter_params(filter_values, bias, char_table):
 
 
 def char_cnn_vector(chars, params):
-    return char_cnn_trace(np.asarray(chars, dtype=np.int64), params)[0]
+    """The vector of one token from a one-token ``char_cnn_trace`` call."""
+    return char_cnn_trace([np.asarray(chars, dtype=np.int64)], params)[0][0]
+
+
+def reference_char_cnn(chars, params):
+    """One token's char-CNN vector by plain loops, plus, per width and
+    filter, the first window reaching the max (the per-token oracle)."""
+    table = params.char_table
+    ids = [int(c) if 0 <= c < len(table) else 1 for c in chars]  # 1 is UNK
+    while len(ids) > 1 and ids[-1] == 0:  # trailing PAD; an all-PAD token keeps one
+        ids.pop()
+    vector, best = [], []
+    for width, filters, bias in zip(params.widths, params.filters, params.biases):
+        seq = [0] * max(width - len(ids), 0) + ids
+        firsts = []
+        for f in range(filters.shape[0]):
+            top, first = None, None
+            for start in range(len(seq) - width + 1):
+                score = float(bias[f])
+                for j in range(width):
+                    for d in range(table.shape[1]):
+                        score += float(filters[f, j, d]) * float(table[seq[start + j], d])
+                score = max(score, 0.0)
+                if top is None or score > top:
+                    top, first = score, start
+            vector.append(top)
+            firsts.append(first)
+        best.append(firsts)
+    return np.array(vector), best
+
+
+# Probe char ids: 0 PAD, 1 UNK, 2..7 letters; -3..-1 and 8..11 are out of range.
+_ids = st.integers(min_value=-3, max_value=11)
+_tokens = st.one_of(
+    st.lists(_ids, max_size=7),  # includes empty and shorter than every width
+    st.lists(st.just(0), min_size=1, max_size=4),  # all PAD
+    st.tuples(st.lists(_ids, min_size=1, max_size=5), st.integers(1, 3)).map(
+        lambda p: p[0] + [0] * p[1]  # trailing PAD
+    ),
+    st.tuples(st.integers(2, 7), st.integers(3, 6)).map(lambda p: [p[0]] * p[1]),  # tied windows
+)
 
 
 class TestCharCnn:
@@ -175,6 +222,51 @@ class TestCharCnn:
             char_cnn_vector(perm[chars], params_perm), base, atol=1e-14
         )
 
+    @pytest.mark.parametrize("widths", [(3,), (2, 3)])
+    @given(seqs=st.lists(_tokens, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_one_call_equals_per_token_reference(self, widths, seqs):
+        params = build_probe(seed=4, char_widths=widths)[0].char_params
+        vectors, trace = char_cnn_trace([np.asarray(s, dtype=np.int64) for s in seqs], params)
+        assert vectors.shape == (len(seqs), params.output_dim)
+        for wi, width in enumerate(widths):
+            assert trace.window_ids[wi].shape == (trace.pre[wi].shape[0], width)
+            assert trace.best[wi].shape == (len(seqs), params.n_filters)
+        first_row = [0] * len(widths)  # each width's first window row of the token
+        for i, seq in enumerate(seqs):
+            expected, best = reference_char_cnn(seq, params)
+            np.testing.assert_allclose(vectors[i], expected, rtol=0, atol=1e-12)
+            for wi, width in enumerate(widths):
+                assert (trace.best[wi][i] - first_row[wi]).tolist() == best[wi]
+                real = max((t + 1 for t, c in enumerate(seq) if c != 0), default=1)
+                first_row[wi] += max(real - width + 1, 1)
+        assert first_row == [p.shape[0] for p in trace.pre]
+
+    def test_tied_windows_pool_to_the_first(self):
+        # "aaaa" at width 3 has two identical windows; backward must go
+        # through the first, as np.argmax did.
+        params = _single_filter_params(np.ones((3, 2)), 1.0, [[0, 0], [0, 0], [0.5, 0.25]])
+        _, trace = char_cnn_trace([np.array([5, 6]), np.array([2, 2, 2, 2])], params)
+        assert trace.pre[0].shape[0] == 3
+        assert trace.pre[0][1, 0] == trace.pre[0][2, 0] > 0
+        assert trace.best[0].tolist() == [[0], [1]]
+
+    def test_memory_follows_total_chars(self):
+        # 200 short tokens and one 1,000-char token: a padded (N, longest)
+        # layout holds about 201 x 1,000 windows per width (tens of MB here),
+        # the ragged one about 2,000 (under 1 MB).
+        params = build_probe(seed=0, char_widths=(2, 3))[0].char_params
+        rng = np.random.default_rng(0)
+        seqs = [rng.integers(2, 8, size=rng.integers(1, 8)) for _ in range(200)]
+        seqs.append(rng.integers(2, 8, size=1000))
+        tracemalloc.start()
+        try:
+            char_cnn_trace(seqs, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_embedding_dim_permutation_covariance(self):
         # Permuting table columns together with the filters' embedding axis
         # leaves every dot product unchanged.
@@ -208,7 +300,7 @@ def _model(word, pos, char, window, hidden=3, seed=0):
         char_filters=char.n_filters, char_widths=char.widths, hidden=hidden,
         window=window, overlap=1,
     )
-    return ModelParameters(dims, tensors, word.trainable)
+    return ModelParameters(dims, tensors, False)
 
 
 class TestFeaturizeChunk:
@@ -221,7 +313,7 @@ class TestFeaturizeChunk:
         word = EmbeddingTable(
             np.vstack([np.zeros(4), rng.normal(size=(vocab.word_size - 1, 4))])
         )
-        pos = PosEmbedding(
+        pos = EmbeddingTable(
             np.vstack([np.zeros(3), rng.normal(size=(vocab.pos_size - 1, 3))])
         )
         char = CharCnnParams(
@@ -237,6 +329,8 @@ class TestFeaturizeChunk:
         (chunk,) = chunk_sentence(sentence, vocab, ChunkConfig(window=4, overlap=1))
         rows = forward_batch(_model(word, pos, char, 4), batch_chunks([chunk])).inputs
         assert rows.shape == (2, 4 + 3 + 5)
+        # The forward makes one call over the chunk's distinct sequences: "ab", "ba".
+        vectors = char_cnn_trace(chunk.char_ids[:2], char)[0]
         for t in range(2):
             np.testing.assert_array_equal(
                 rows[t, :4], word.matrix[chunk.word_ids[t]]
@@ -244,9 +338,7 @@ class TestFeaturizeChunk:
             np.testing.assert_array_equal(
                 rows[t, 4:7], pos.matrix[chunk.pos_ids[t]]
             )
-            np.testing.assert_array_equal(
-                rows[t, 7:], char_cnn_vector(chunk.char_ids[t], char)
-            )
+            np.testing.assert_array_equal(rows[t, 7:], vectors[t])
 
     def test_pad_rows_all_zero(self):
         # Pad slots are never featurized, and their GRU outputs are zero.
@@ -263,7 +355,7 @@ class TestFeaturizeChunk:
         vocab = build_vocab(make_corpus([sentence]))
         rng = np.random.default_rng(6)
         word = EmbeddingTable(np.zeros((vocab.word_size, 8)))
-        pos = PosEmbedding(np.zeros((vocab.pos_size, 16)))
+        pos = EmbeddingTable(np.zeros((vocab.pos_size, 16)))
         char = CharCnnParams(
             np.zeros((vocab.char_size, 24)), (3,), [rng.normal(size=(32, 3, 24))],
             [np.zeros(32)],

@@ -66,15 +66,18 @@ def test_tracer_uninstall_restores_every_original(bench):
         assert getattr(importlib.import_module(module), attr) is original, f"{module}.{attr}"
 
 
+def _embeddings(vocab):
+    with open(DATA_DIR / "overfit_embeddings.txt", encoding="utf-8") as fh:
+        return load_embeddings(fh, vocab)
+
+
 @pytest.fixture(scope="module")
 def trained(overfit_corpus):
     """A model trained on the overfit corpus, its vocabulary and its config."""
     vocab = build_vocab(overfit_corpus)
-    with open(DATA_DIR / "overfit_embeddings.txt", encoding="utf-8") as fh:
-        embeddings = load_embeddings(fh, vocab)
     config = TrainConfig(epochs=2, hidden=8, char_filters=4, char_widths=(2, 3), pos_dim=4,
                          char_dim=4)
-    model, _ = train(overfit_corpus, embeddings, config, vocab=vocab)
+    model, _ = train(overfit_corpus, _embeddings(vocab), config, vocab=vocab)
     return model, vocab, config
 
 
@@ -125,3 +128,40 @@ def test_one_merge_span_per_predicted_sentence(bench, trained, overfit_corpus):
         tracer.uninstall()
     merges = spans.SpanIndex(tracer.spans).of("chunking.merge_chunk_predictions")
     assert len(merges) == len(sentences)
+
+
+def _convolutions_under(index, name):
+    """For each span called ``name``, how many char-CNN calls it made itself."""
+    return [
+        sum(index.spans[c].name == "features.char_cnn_trace" for c in index.children[i])
+        for i in index.of(name)
+    ]
+
+
+def test_one_char_cnn_call_per_forward_and_backward(bench, trained, overfit_corpus, tmp_path):
+    # features.char_cnn_s and char_cnn_useful_share count these spans.
+    model, vocab, config = trained
+    save_model(model, vocab, str(tmp_path / "model.bin"))
+    loaded, _ = load_model(str(tmp_path / "model.bin"))
+    spans = bench["spans"]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        train(overfit_corpus, _embeddings(vocab), config, vocab=vocab)
+        cold = len(tracer.spans)
+        predict_corpus_labels(loaded, vocab, overfit_corpus.sentences, config.chunk_config)
+        warm = len(tracer.spans)
+        predict_corpus_labels(loaded, vocab, overfit_corpus.sentences, config.chunk_config)
+    finally:
+        tracer.uninstall()
+    index = spans.SpanIndex(tracer.spans)
+    forwards = _convolutions_under(index, "neural.forward_batch")
+    assert forwards and set(forwards) <= {0, 1}
+    backwards = _convolutions_under(index, "neural.backward_from_cache")
+    assert backwards and set(backwards) == {1}
+    loaded_passes = [
+        [n for i, n in zip(index.of("neural.forward_batch"), forwards) if lo <= i < hi]
+        for lo, hi in ((cold, warm), (warm, len(index.spans)))
+    ]
+    assert loaded_passes[0] and 1 in loaded_passes[0]
+    assert loaded_passes[1] and set(loaded_passes[1]) == {0}  # the memo serves every sequence

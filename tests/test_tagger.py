@@ -38,7 +38,6 @@ from clinspan.tagger import (
     TrainConfig,
     annotate_sentence,
     format_history,
-    gold_spans,
     load_model,
     predict_corpus_labels,
     save_model,
@@ -135,12 +134,6 @@ class TestConceptSpan:
         with pytest.raises(ValueError):
             ConceptSpan(-1, 2)
 
-    def test_gold_spans_carry_sentence_ref(self):
-        sentence = make_sentence([("a", "B"), ("b", "I"), ("c", "O")], doc_id="d7",
-                                 sent_index=4)
-        (span,) = gold_spans(sentence)
-        assert (span.doc_id, span.sent_index, span.start, span.end) == ("d7", 4, 0, 2)
-
 
 def _zeroed(model):
     for _, arr in named_tensors(model):
@@ -171,6 +164,15 @@ class TestAnnotateSentence:
         sentence = make_sentence([("w0", "O")])
         spans = annotate_sentence(model, vocab, sentence, ChunkConfig())
         assert [(s.start, s.end) for s in spans] == [(0, 1)]
+
+    def test_spans_carry_sentence_ref(self):
+        model, vocab = self._model_vocab()
+        _zeroed(model)  # every token ties, and B wins: one span per token
+        sentence = make_sentence([("w0", "O"), ("w1", "O")], doc_id="d7", sent_index=4)
+        spans = annotate_sentence(model, vocab, sentence, ChunkConfig())
+        assert [(s.doc_id, s.sent_index, s.start, s.end) for s in spans] == [
+            ("d7", 4, 0, 1), ("d7", 4, 1, 2)
+        ]
 
     def test_inference_is_pure(self):
         model, vocab = self._model_vocab(seed=1)
@@ -346,7 +348,7 @@ class TestTrain:
             for lo in range(0, len(chunks), EVAL_BATCH)
         )
         predicted = predict_corpus_labels(model, vocab, valid, config.chunk_config)
-        gold = [[(s.start, s.end) for s in gold_spans(x)] for x in valid]
+        gold = [[(s.start, s.end) for s in decode_iob(x.labels())] for x in valid]
         pred = [[(s.start, s.end) for s in decode_iob(tags)] for tags in predicted]
         _, _, f1 = prf(span_match_counts(gold, pred))
         best = history.epochs[history.best_epoch - 1]
@@ -516,6 +518,19 @@ class TestCharMemo:
             for i, t in zip(*np.nonzero(batch.mask))
         ]
 
+    @staticmethod
+    def _cnn_calls(monkeypatch):
+        """From now on, the char-id bytes of each ``char_cnn_trace`` call's sequences."""
+        calls = []
+        original = neural.char_cnn_trace
+
+        def counting(seqs, params):
+            calls.append([np.asarray(s, dtype=np.int64).tobytes() for s in seqs])
+            return original(seqs, params)
+
+        monkeypatch.setattr(neural, "char_cnn_trace", counting)
+        return calls
+
     def test_probabilities_bit_identical_cold_and_warm(self, tmp_path):
         loaded, vocab = self._loaded(tmp_path)
         batch = batch_chunks(self._mixed_chunks(vocab))
@@ -528,16 +543,10 @@ class TestCharMemo:
         loaded, vocab = self._loaded(tmp_path)
         batch = batch_chunks(self._mixed_chunks(vocab))
         forward_batch(loaded, batch)
-        computed = []
-        original = neural.char_cnn_trace
-
-        def counting(chars, params):
-            computed.append(chars.tobytes())
-            return original(chars, params)
-
-        monkeypatch.setattr(neural, "char_cnn_trace", counting)
+        calls = self._cnn_calls(monkeypatch)
         forward_batch(loaded, batch)
         oov = {key for key, word in self._slot_keys(batch) if word <= UNK_INDEX}
+        (computed,) = calls
         assert len(oov) == 3 and sorted(computed) == sorted(oov)
 
     def test_memo_holds_no_oov_and_at_most_one_entry_per_word_row(self, tmp_path):
@@ -578,13 +587,15 @@ class TestCharMemo:
         forward_batch(loaded, batch)
         assert loaded.char_memo is None
 
-    def test_backward_on_warm_model_equals_clone(self, tmp_path):
+    def test_backward_on_warm_model_equals_clone(self, tmp_path, monkeypatch):
         loaded, vocab = self._loaded(tmp_path)
         chunks = self._mixed_chunks(vocab)
         batch = batch_chunks(chunks)
         forward_batch(loaded, batch)
+        calls = self._cnn_calls(monkeypatch)
         warm = forward_batch(loaded, batch)
-        assert any(trace is None for trace in warm.char_traces)
+        (computed,) = calls  # the memo served the other sequences
+        assert len(computed) < len({key for key, _ in self._slot_keys(batch)})
         clone = loaded.clone()
         for got, expected in (
             (backward_from_cache(loaded, warm), backward_from_cache(clone, forward_batch(clone, batch))),
@@ -593,6 +604,24 @@ class TestCharMemo:
             assert got.keys() == expected.keys()
             for name in got:
                 np.testing.assert_array_equal(got[name], expected[name], err_msg=name)
+
+    def test_fully_served_forward_makes_no_cnn_call(self, tmp_path, monkeypatch):
+        loaded, vocab = self._loaded(tmp_path)
+        words = ["drug0", "dose", "filler1", "drug0", "drug2", "filler5"]
+        chunks = chunk_sentence(make_sentence([(w, "O") for w in words]), vocab,
+                                _small_config().chunk_config)
+        batch = batch_chunks(chunks)
+        assert all(word > UNK_INDEX for _, word in self._slot_keys(batch))
+        forward_batch(loaded, batch)
+        calls = self._cnn_calls(monkeypatch)
+        warm = forward_batch(loaded, batch)
+        assert calls == []
+        clone = loaded.clone()
+        got = backward_from_cache(loaded, warm)
+        expected = backward_from_cache(clone, forward_batch(clone, batch))
+        assert got.keys() == expected.keys()
+        for name in got:
+            np.testing.assert_array_equal(got[name], expected[name], err_msg=name)
 
     def test_concurrent_forwards_share_the_memo(self, tmp_path, monkeypatch):
         monkeypatch.setattr(neural, "_CPUS", 2)
