@@ -54,12 +54,16 @@ allowed two or more CPUs runs direction 1 on the worker of a one-thread
 GIL inside BLAS and ufunc loops), then waits for the worker's result;
 smaller batches, and every batch on one CPU, run the stacked ``0:2`` loop.
 Each direction makes the same calls on the same slices either way, so the
-outputs are the same bytes.  The backward loop stays single-threaded:
-it carries only dh and keeps every packed row's z | r | h pre-activation
-deltas, so the weight, bias and input gradients are one GEMM each after the
-loop (the fused-gate layout of Appleyard, Kocisky & Blunsom 2016,
-arXiv:1604.01946, who also run the directions of a bidirectional RNN
-concurrently).
+outputs are the same bytes.  The backward's time loop runs both directions
+in the caller: it carries only dh and keeps every packed row's z | r | h
+pre-activation deltas, so the weight, bias and input gradients are one GEMM
+each after the loop (the fused-gate layout of Appleyard, Kocisky & Blunsom
+2016, arXiv:1604.01946, who also run the directions of a bidirectional RNN
+concurrently).  Under the forward's rule (``_helper_pays``) the weight and
+bias GEMMs then run on a helper while the caller computes the input
+gradient, the table scatters and the char-CNN recompute and backward; the
+gradient dict keeps its key order, because ``clip_gradients`` sums the
+norms in that order.
 
 Tensor inventory: ``tensor_shapes`` gives each tensor's name and shape in
 archive payload order.  A model is that map of named tensors
@@ -72,11 +76,12 @@ nothing.  A different order would give every seed a different model.
 
 Phase separation contract: forward/backward over distinct chunks may run
 concurrently against a frozen parameter snapshot; the optimizer step is the
-single writer and must not interleave with reads.  One forward may use one
-helper thread of its own, joined before it returns; the helper runs in a
-copy of the caller's context (so the caller's ``np.errstate`` holds there),
-its exception is re-raised in the caller, and it calls only numpy.  BLAS
-itself is left at whatever thread count the process set.
+single writer and must not interleave with reads.  One forward, and one
+backward, may each use one helper thread of its own, joined before it
+returns; the helper runs in a copy of the caller's context (so the caller's
+``np.errstate`` holds there), its exception is re-raised in the caller, and
+it calls only numpy.  BLAS itself is left at whatever thread count the
+process set.
 """
 from __future__ import annotations
 
@@ -85,7 +90,8 @@ import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -111,9 +117,9 @@ GRADCHECK_COORDS = 20  # coordinates sampled per trainable tensor
 # Tables whose row 0 (PAD) stays exactly zero through training.
 FROZEN_ROW_TABLES = ("word_table", "pos_table", "char_table")
 
-# A forward over at least this many real slots runs its two GRU directions
-# on two threads (see the module docstring); below it the thread costs more
-# than it saves.
+# A forward or backward over at least this many real slots splits its GRU
+# work over two threads (see the module docstring); below it the thread
+# costs more than it saves.
 PARALLEL_ROWS = 384
 # CPUs this process may run on, read once.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -453,6 +459,24 @@ def _gru_directions(
         h_prev = states[:, lo:hi] = (1.0 - z) * hp + z * candidate
 
 
+def _helper_pays(rows: int) -> bool:
+    """Whether a forward or backward over ``rows`` real slots splits its work
+    with a helper thread: at least ``PARALLEL_ROWS`` rows on a process allowed
+    two or more CPUs."""
+    return rows >= PARALLEL_ROWS and _CPUS >= 2
+
+
+def _on_helper(helper: Callable[[], object], caller: Callable[[], object]) -> tuple:
+    """Run ``helper()`` on the worker of a one-thread ``ThreadPoolExecutor``
+    while the calling thread runs ``caller()``; return both results once the
+    worker is joined."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # The copied context carries the caller's np.errstate into the helper.
+        future = pool.submit(contextvars.copy_context().run, helper)
+        mine = caller()
+        return future.result(), mine  # re-raises the helper's exception
+
+
 def _bigru_forward(
     model: ModelParameters, x: np.ndarray, pack: Packing, rec: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -467,14 +491,11 @@ def _bigru_forward(
     gates = np.empty((2, x.shape[0], 3 * h))
     states = np.empty((2, x.shape[0], h))
     args = (model, x, pack, rec, gates, states)
-    if x.shape[0] < PARALLEL_ROWS or _CPUS < 2:
+    if _helper_pays(x.shape[0]):
+        _on_helper(partial(_gru_directions, *args, slice(1, 2)),
+                   partial(_gru_directions, *args, slice(0, 1)))
+    else:
         _gru_directions(*args, slice(0, 2))
-        return gates, states
-    # The copied context carries the caller's np.errstate into the helper.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        helper = pool.submit(contextvars.copy_context().run, _gru_directions, *args, slice(1, 2))
-        _gru_directions(*args, slice(0, 1))
-        helper.result()  # re-raises the helper's exception
     return gates, states
 
 
@@ -594,12 +615,15 @@ def _chunk_losses(
 
 def _bigru_backward(
     model: ModelParameters, cache: ForwardCache, d_states: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Backpropagate through both GRU directions given d(states) (2, R, H).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backpropagate through both GRU directions' time steps given d(states)
+    (2, R, H).
 
-    Returns d(inputs) by feature row and the per-gate GRU gradients.  The
-    packed loop only carries dh and stores each row's pre-activation deltas
-    z | r | h; the weight, bias and input gradients are then one GEMM each.
+    The packed loop only carries dh and stores each row's pre-activation
+    deltas z | r | h.  Returns those deltas by packed row (2, R, 3H), the same
+    deltas by feature row with both directions side by side (R, 6H), and the
+    dropped previous states by packed row (2, R, H): the weight, bias and
+    input gradients are then one GEMM each.
     """
     h = model.dims.hidden
     pack, gates, states, rec = cache.pack, cache.gates, cache.states, cache.rec
@@ -641,13 +665,22 @@ def _bigru_backward(
     d_proj = np.empty((n_rows, 6 * h))
     d_proj[pack.rows[0], : 3 * h] = da[0]
     d_proj[pack.rows[1], 3 * h :] = da[1]
+    return da, d_proj, hd_all
+
+
+def _gru_weight_grads(
+    cache: ForwardCache, da: np.ndarray, d_proj: np.ndarray, hd_all: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The per-gate GRU weight and bias gradients from ``_bigru_backward``'s
+    deltas, by archive name.  Calls only numpy."""
+    h = hd_all.shape[2]
     d_w = (d_proj.T @ cache.inputs).reshape(2, 3 * h, -1)
     d_b = d_proj.sum(axis=0).reshape(2, 3 * h)
     d_u = np.concatenate([
         da[..., : 2 * h].transpose(0, 2, 1) @ hd_all,
-        da[..., 2 * h :].transpose(0, 2, 1) @ (gates[..., h : 2 * h] * hd_all),
+        da[..., 2 * h :].transpose(0, 2, 1) @ (cache.gates[..., h : 2 * h] * hd_all),
     ], axis=1)
-    return d_proj @ model.gru_w.reshape(6 * h, -1), _gate_views(d_w, d_u, d_b)
+    return _gate_views(d_w, d_u, d_b)
 
 
 def _char_cnn_backward(
@@ -677,28 +710,18 @@ def _char_cnn_backward(
     return g_table, g_filters, g_biases
 
 
-def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str, np.ndarray]:
-    """Gradients of the batch objective (mean over chunks of summed loss)."""
-    batch = cache.batch
-    b = batch.size
-    h_size = model.dims.hidden
-    active = (batch.mask * (batch.labels >= 0))[..., None]
-    onehot = np.zeros_like(cache.probs)
-    safe = np.clip(batch.labels, 0, onehot.shape[-1] - 1)
-    np.put_along_axis(onehot, safe[..., None], 1.0, axis=-1)
-    dlogits = (cache.probs - onehot) * active / b
-
-    grads: dict[str, np.ndarray] = {}
-    grads["dense.w"] = dlogits.reshape(-1, 3).T @ cache.concat.reshape(-1, 2 * h_size)
-    grads["dense.b"] = dlogits.sum(axis=(0, 1))
-    pack = cache.pack
-    d_real = dlogits[pack.slot_i, pack.slot_t] @ model.dense.w  # (R, 2H)
-    d_states = np.stack([d_real[pack.rows[0], :h_size], d_real[pack.rows[1], h_size:]])
-    dx, gru_grads = _bigru_backward(model, cache, d_states)
-    grads.update(gru_grads)
+def _feature_grads(
+    model: ModelParameters, cache: ForwardCache, d_proj: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Gradients of the tables and the char CNN from the GRU's input-side
+    deltas by feature row (R, 6H): ``word_table`` if trainable,
+    ``pos_table``, then the char tensors."""
+    batch, pack = cache.batch, cache.pack
+    dx = d_proj @ model.gru_w.reshape(6 * model.dims.hidden, -1)
     if cache.plan is not None:
         dx *= cache.plan.input_mask[pack.slot_i, pack.slot_t]
 
+    grads: dict[str, np.ndarray] = {}
     d_w = model.word_table.dim
     d_p = model.pos_table.dim
     if model.word_table_trainable:
@@ -726,6 +749,36 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
         grads[f"char_filters_w{width}"] = gf
         grads[f"char_bias_w{width}"] = gb
     return grads
+
+
+def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str, np.ndarray]:
+    """Gradients of the batch objective (mean over chunks of summed loss)."""
+    batch = cache.batch
+    b = batch.size
+    h_size = model.dims.hidden
+    active = (batch.mask * (batch.labels >= 0))[..., None]
+    onehot = np.zeros_like(cache.probs)
+    safe = np.clip(batch.labels, 0, onehot.shape[-1] - 1)
+    np.put_along_axis(onehot, safe[..., None], 1.0, axis=-1)
+    dlogits = (cache.probs - onehot) * active / b
+
+    grads: dict[str, np.ndarray] = {}
+    grads["dense.w"] = dlogits.reshape(-1, 3).T @ cache.concat.reshape(-1, 2 * h_size)
+    grads["dense.b"] = dlogits.sum(axis=(0, 1))
+    pack = cache.pack
+    d_real = dlogits[pack.slot_i, pack.slot_t] @ model.dense.w  # (R, 2H)
+    d_states = np.stack([d_real[pack.rows[0], :h_size], d_real[pack.rows[1], h_size:]])
+    da, d_proj, hd_all = _bigru_backward(model, cache, d_states)
+    # The weight GEMMs and the feature gradients share no output, so a large
+    # batch runs the former on a helper.  The merge keeps the key order that
+    # clip_gradients sums norms in.
+    weights = partial(_gru_weight_grads, cache, da, d_proj, hd_all)
+    features = partial(_feature_grads, model, cache, d_proj)
+    if _helper_pays(d_proj.shape[0]):
+        gru_grads, feature_grads = _on_helper(weights, features)
+    else:
+        gru_grads, feature_grads = weights(), features()
+    return grads | gru_grads | feature_grads
 
 
 def backward(model: ModelParameters, chunk: PaddedChunk) -> dict[str, np.ndarray]:

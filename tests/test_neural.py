@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clinspan import neural
+from clinspan import neural, tagger
 from clinspan.chunking import PaddedChunk
 from clinspan.corpus import Vocabulary, build_vocab
 from clinspan.features import EmbeddingTable, load_embeddings
@@ -41,7 +41,7 @@ from clinspan.neural import (
     trainable_tensor_names,
 )
 from clinspan.neural import _chunk_losses, _sigmoid
-from clinspan.tagger import TrainConfig, load_model, save_model, train
+from clinspan.tagger import TrainConfig, format_history, load_model, save_model, train
 
 from conftest import DATA_DIR
 
@@ -955,3 +955,143 @@ class TestThreadedDirections:
         forward_batch(model, batch)
         forward_batch(model, batch_chunks([MIXED_CHUNKS[0]]))
         assert len(started_threads) == 1
+
+
+def _grad_names(model):
+    """The keys of a backward's gradient dict, in the order clip_gradients
+    sums norms in."""
+    gates = [f"{prefix}.{gate}" for prefix in ("gru_fwd", "gru_bwd")
+             for gate in GruDirectionParams.GATE_NAMES]
+    tables = ["word_table"] * model.word_table_trainable + ["pos_table", "char_table"]
+    chars = [f"char_{kind}_w{k}" for k in model.dims.char_widths for kind in ("filters", "bias")]
+    return ["dense.w", "dense.b", *gates, *tables, *chars]
+
+
+class TestThreadedBackward:
+    """A backward over at least PARALLEL_ROWS real rows runs the GRU weight
+    gradients on a helper thread while the caller runs the feature
+    gradients; the one-thread backward is the reference."""
+
+    @staticmethod
+    def _cache(monkeypatch, dropout=True, trainable_words=True):
+        """A forward over a wide probe batch, computed on one thread."""
+        model, _ = build_probe(seed=13, char_widths=(2, 3), trainable_words=trainable_words)
+        batch = _wide_batch()
+        plan = make_dropout_plan(
+            np.random.default_rng(23), 0.5, batch.size, batch.mask.shape[1],
+            model.dims.feature_dim, model.dims.hidden,
+        ) if dropout else None
+        monkeypatch.setattr(neural, "_CPUS", 2)
+        monkeypatch.setattr(neural, "PARALLEL_ROWS", 10**9)
+        return model, forward_batch(model, batch, plan)
+
+    @pytest.mark.parametrize("trainable_words", [False, True], ids=["frozen-words", "word-table"])
+    @pytest.mark.parametrize("dropout", [False, True], ids=["no-dropout", "dropout"])
+    def test_gradients_are_byte_identical_in_the_same_order(
+        self, monkeypatch, started_threads, dropout, trainable_words
+    ):
+        model, cache = self._cache(monkeypatch, dropout, trainable_words)
+        serial = backward_from_cache(model, cache)
+        assert started_threads == []
+        monkeypatch.setattr(neural, "PARALLEL_ROWS", 1)
+        threaded = backward_from_cache(model, cache)
+        assert len(started_threads) == 1
+        assert list(serial) == list(threaded) == _grad_names(model)
+        for name in serial:
+            assert serial[name].tobytes() == threaded[name].tobytes(), name
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        model, cache = self._cache(monkeypatch)
+        monkeypatch.setattr(neural, "PARALLEL_ROWS", 1)
+        caller = threading.get_ident()
+        original = neural._gate_views
+
+        def failing(*args):
+            if threading.get_ident() != caller:
+                time.sleep(0.05)  # fail after the caller's gradients are done
+                raise RuntimeError("helper failed")
+            return original(*args)
+
+        monkeypatch.setattr(neural, "_gate_views", failing)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            backward_from_cache(model, cache)
+        assert threading.enumerate() == before
+
+    def test_caller_exception_propagates_after_the_helper_is_joined(self, monkeypatch):
+        model, cache = self._cache(monkeypatch)
+        monkeypatch.setattr(neural, "PARALLEL_ROWS", 1)
+        caller = threading.get_ident()
+        original = neural._gate_views
+        helper_done = []
+
+        def slow(*args):
+            assert threading.get_ident() != caller
+            time.sleep(0.05)  # the helper is still running when the caller fails
+            helper_done.append(True)
+            return original(*args)
+
+        def failing(*args):
+            raise RuntimeError("caller failed")
+
+        monkeypatch.setattr(neural, "_gate_views", slow)
+        monkeypatch.setattr(neural, "char_cnn_trace", failing)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="caller failed"):
+            backward_from_cache(model, cache)
+        assert helper_done == [True]
+        assert threading.enumerate() == before
+
+    def test_caller_errstate_applies_in_the_helper(self, monkeypatch):
+        model, cache = self._cache(monkeypatch)
+        monkeypatch.setattr(neural, "PARALLEL_ROWS", 1)
+        with np.errstate(all="raise"):
+            backward_from_cache(model, cache)
+        # Only the helper's d_w GEMM reads the forward's inputs: inf - inf there.
+        cache.inputs[...] = np.inf
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            backward_from_cache(model, cache)
+        with np.errstate(all="ignore"):  # a warning would be an error in this suite
+            threaded = backward_from_cache(model, cache)
+            monkeypatch.setattr(neural, "PARALLEL_ROWS", 10**9)
+            serial = backward_from_cache(model, cache)
+        assert np.isnan(threaded["gru_fwd.w_z"]).any()
+        for name in serial:
+            assert serial[name].tobytes() == threaded[name].tobytes(), name
+
+    @pytest.mark.parametrize("rows, cpus", [(10**9, 2), (1, 1)], ids=["small-batch", "one-cpu"])
+    def test_no_thread_below_threshold_or_on_one_cpu(self, monkeypatch, started_threads, rows, cpus):
+        model, cache = self._cache(monkeypatch)
+        monkeypatch.setattr(neural, "PARALLEL_ROWS", rows)
+        monkeypatch.setattr(neural, "_CPUS", cpus)
+        backward_from_cache(model, cache)
+        assert started_threads == []
+
+    def test_training_is_byte_identical_with_and_without_helpers(self, monkeypatch, overfit_corpus):
+        # A clip norm far below the gradients' scales every step, and the
+        # scale sums the norms in the gradient dict's order.
+        vocab = build_vocab(overfit_corpus)
+        with open(DATA_DIR / "overfit_embeddings.txt", encoding="utf-8") as fh:
+            embeddings = load_embeddings(fh, vocab)
+        config = TrainConfig(epochs=2, batch_size=4, hidden=8, char_filters=4, char_widths=(2, 3),
+                             pos_dim=4, char_dim=4, clip_norm=1e-3, train_word_embeddings=True)
+        norms = []
+        original = tagger.clip_gradients
+
+        def clip(grads, max_norm):
+            norms.append(global_grad_norm(grads))
+            return original(grads, max_norm)
+
+        monkeypatch.setattr(tagger, "clip_gradients", clip)
+        monkeypatch.setattr(neural, "_CPUS", 2)
+        runs = {}
+        for rows in (1, 10**9):
+            monkeypatch.setattr(neural, "PARALLEL_ROWS", rows)
+            runs[rows] = train(overfit_corpus, embeddings, config, vocab=vocab)
+        assert norms and min(norms) > config.clip_norm
+        (threaded, threaded_history), (serial, serial_history) = runs.values()
+        assert threaded_history == serial_history
+        assert format_history(threaded_history) == format_history(serial_history)
+        assert list(threaded.tensors) == list(serial.tensors)
+        for name, arr in serial.tensors.items():
+            assert threaded.tensors[name].tobytes() == arr.tobytes(), name

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,37 @@ def test_threaded_forward_leaves_a_finished_trace(bench, trained, overfit_corpus
     assert convolutions
     for i in convolutions:
         assert index.spans[index.spans[i].parent].name == "neural.forward_batch"
+
+
+def test_threaded_backward_leaves_a_finished_trace(bench, trained, overfit_corpus, monkeypatch):
+    # The backward's helper thread must not call a patched function either:
+    # the char-CNN recompute stays in the calling thread, under its backward.
+    monkeypatch.setattr(neural, "_CPUS", 2)
+    monkeypatch.setattr(neural, "PARALLEL_ROWS", 1)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(1) or start(thread))
+    callers = set()  # the threads that called a patched function
+
+    class ThreadTracer(bench["spans"].Tracer):
+        def wrap(self, fn, name):
+            traced = super().wrap(fn, name)
+            return lambda *args, **kwargs: callers.add(threading.get_ident()) or traced(*args, **kwargs)
+
+    _, vocab, config = trained
+    tracer = ThreadTracer()
+    tracer.install()
+    try:
+        train(overfit_corpus, _embeddings(vocab), config, vocab=vocab)
+    finally:
+        tracer.uninstall()
+    index = bench["spans"].SpanIndex(tracer.spans)
+    backwards = index.of("neural.backward_from_cache")
+    assert backwards
+    assert len(started) == len(index.of("neural.forward_batch")) + len(backwards)
+    assert callers == {threading.get_ident()}
+    for i in backwards:
+        assert [index.spans[c].name for c in index.children[i]] == ["features.char_cnn_trace"]
 
 
 def test_one_merge_span_per_predicted_sentence(bench, trained, overfit_corpus):
