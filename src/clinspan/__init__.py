@@ -1,6 +1,14 @@
 """Bidirectional-GRU sequence labeler for clinical concept span annotation."""
 
-from .chunking import ChunkConfig, PaddedChunk, chunk_count, chunk_sentence, merge_chunk_predictions
+from .chunking import (
+    ChunkConfig,
+    ChunkTable,
+    PaddedChunk,
+    chunk_count,
+    chunk_sentence,
+    chunk_table,
+    merge_chunk_predictions,
+)
 from .corpus import (
     AnnotatedCorpus,
     AnnotatedSentence,

@@ -2,21 +2,29 @@
 
 A sentence of L tokens becomes chunks of ``window`` slots starting every
 ``window - overlap`` tokens; the final chunk is right-padded so slot
-arithmetic stays uniform.  Chunks never cross sentence boundaries.  A
-chunk's word, POS, label and mask arrays are read-only views into arrays
-built once per sentence, and its char-id arrays are the sentence's own, so
-overlapping chunks share memory.  A chunk's ``sentence_offset`` is its only
-position.  All functions are pure.
+arithmetic stays uniform.  Chunks never cross sentence boundaries.
+
+The sentences of one pass are one ``ChunkTable``: flat per-token word, POS
+and label ids, each sentence's first token and length, and every token's
+char ids back to back in one int64 buffer with per-token offsets.  A chunk
+is a row of the table, the token index of its slot 0 and its count of real
+slots; no object is made per token or per chunk.  A batch of rows is one
+fancy index over the token arrays (``neural.batch_chunks``), and
+``merge_chunk_predictions`` reconciles the tags of every chunk of the table
+at once.  ``chunk_sentence`` gives one sentence's chunks as ``PaddedChunk``
+objects, read-only views of arrays gathered from its table, for code that
+reads a chunk by slot.  All functions are pure.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import TypeVar
 
 import numpy as np
 
-from .corpus import LABEL_TO_INDEX, AnnotatedSentence, Vocabulary
+from .corpus import LABEL_TO_INDEX, PAD_INDEX, UNK_INDEX, AnnotatedSentence, Vocabulary
 
 Tag = TypeVar("Tag")  # a chunk slot's prediction: a tag index or a tag string
 
@@ -43,15 +51,14 @@ class PaddedChunk:
 
     Real slots form a contiguous prefix; ``sentence_offset`` is the sentence
     position of slot 0, and the chunks of a sentence sit at offsets 0,
-    stride, 2*stride, ...  The arrays from ``chunk_sentence`` are shared
-    with the overlapping neighbours, and all but the char ids are read-only
-    views.  Labels are tag indices with -1 on pad slots; unlabeled input
-    reads as ``O``.
+    stride, 2*stride, ...  The arrays from ``chunk_sentence`` are read-only
+    views shared with the overlapping neighbours.  Labels are tag indices
+    with -1 on pad slots; unlabeled input reads as ``O``.
     """
 
     word_ids: np.ndarray  # (window,) int64
     pos_ids: np.ndarray  # (window,) int64
-    char_ids: tuple[np.ndarray, ...]  # per slot, empty for pad slots
+    char_ids: Sequence[np.ndarray]  # per slot, int64, empty for pad slots
     mask: np.ndarray  # (window,) bool
     sentence_offset: int
     labels: np.ndarray  # (window,) int64, -1 at pads
@@ -65,6 +72,79 @@ class PaddedChunk:
         return int(self.mask.sum())
 
 
+class CharSlots(Sequence):
+    """Per-slot char ids of some chunk slots: slot t reads
+    ``flat[start[t]:stop[t]]``, a view, made when it is read."""
+
+    __slots__ = ("flat", "start", "stop")
+
+    def __init__(self, flat: np.ndarray, start: list[int], stop: list[int]) -> None:
+        self.flat, self.start, self.stop = flat, start, stop
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[k] for k in range(len(self))[t]]
+        return self.flat[self.start[t] : self.stop[t]]
+
+
+@dataclass(frozen=True)
+class ChunkTable:
+    """The sentences of one pass as flat token arrays, and their chunks as rows.
+
+    Tokens are numbered through the sentences in order; one PAD token closes
+    the arrays (word and POS PAD, label -1, no chars), so a pad slot reads
+    token ``n_tokens``.  Token k's char ids are ``chars[char_bounds[k]:
+    char_bounds[k + 1]]``, where ``chars`` views ``char_buffer`` as int64, so
+    a char sequence's memo key is a slice of the buffer.  Chunk c covers the
+    tokens ``chunk_start[c]`` to ``chunk_start[c] + chunk_real[c] - 1``; the
+    chunks run through the sentences in order, each sentence's at offsets 0,
+    stride, 2*stride, ...
+    """
+
+    window: int
+    stride: int
+    word_ids: np.ndarray  # (N + 1,) int64
+    pos_ids: np.ndarray  # (N + 1,) int64
+    labels: np.ndarray  # (N + 1,) int64
+    char_buffer: bytes  # every token's char ids, int64, back to back
+    char_bounds: np.ndarray  # (N + 2,) int64
+    sentence_start: np.ndarray  # (S,) first token of each sentence
+    sentence_length: np.ndarray  # (S,)
+    sentence_chunks: np.ndarray  # (S,) chunks per sentence
+    chunk_start: np.ndarray  # (C,) token at slot 0
+    chunk_real: np.ndarray  # (C,) real slots
+
+    def __len__(self) -> int:
+        return len(self.chunk_start)
+
+    @property
+    def n_tokens(self) -> int:
+        return len(self.word_ids) - 1
+
+    @property
+    def chars(self) -> np.ndarray:
+        return np.frombuffer(self.char_buffer, dtype=np.int64)
+
+    def rows(self, index) -> ChunkRows:
+        """The chunks at ``index`` (a slice or an index array), in that order."""
+        return ChunkRows(self, self.chunk_start[index], self.chunk_real[index])
+
+
+@dataclass(frozen=True)
+class ChunkRows:
+    """Some chunks of a table, in order: the input of ``neural.batch_chunks``."""
+
+    table: ChunkTable
+    start: np.ndarray  # (B,) token at slot 0
+    real: np.ndarray  # (B,) real slots
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+
 def chunk_count(sentence_len: int, config: ChunkConfig) -> int:
     """How many windows a sentence of the given length produces."""
     if sentence_len < 1:
@@ -74,74 +154,166 @@ def chunk_count(sentence_len: int, config: ChunkConfig) -> int:
     return 1 + math.ceil((sentence_len - config.window) / config.stride)
 
 
+def _table(
+    word_ids: np.ndarray,
+    pos_ids: np.ndarray,
+    labels: np.ndarray,
+    chars: np.ndarray,
+    char_counts: list[int],
+    lengths: np.ndarray,
+    window: int,
+    stride: int,
+) -> ChunkTable:
+    """A table over the given tokens (the PAD token included) and sentence
+    lengths; ``char_counts`` has one entry per token before the PAD one."""
+    bounds = np.cumsum([0, *char_counts, 0], dtype=np.int64)  # the PAD token's chars are empty
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    if lengths.max(initial=0) <= window:  # one chunk per sentence
+        counts, chunk_start, chunk_real = np.ones_like(lengths), starts, lengths
+    else:
+        counts = 1 + np.maximum(0, (lengths - window + stride - 1) // stride)
+        # Chunk c, the j-th of sentence s, starts at starts[s] + j * stride.
+        first = np.cumsum(counts) - counts
+        chunk_start = np.repeat(starts - first * stride, counts) + np.arange(counts.sum()) * stride
+        chunk_real = np.minimum(window, np.repeat(ends, counts) - chunk_start)
+    return ChunkTable(
+        window=window,
+        stride=stride,
+        word_ids=word_ids,
+        pos_ids=pos_ids,
+        labels=labels,
+        char_buffer=chars.astype(np.int64, copy=False).tobytes(),
+        char_bounds=bounds,
+        sentence_start=starts,
+        sentence_length=lengths,
+        sentence_chunks=counts,
+        chunk_start=chunk_start,
+        chunk_real=chunk_real,
+    )
+
+
+def chunk_table(
+    sentences: Sequence[AnnotatedSentence], vocab: Vocabulary, config: ChunkConfig
+) -> ChunkTable:
+    """The table of the sentences' chunks.  The char ids come from one
+    ``vocab.char_indices`` call over the joined surfaces."""
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    if not lengths.all():
+        raise ValueError("cannot chunk an empty sentence")
+    tokens = [t for s in sentences for t in s.tokens]
+    surfaces = [t.surface for t in tokens]
+    words, pos = vocab.word_to_index.get, vocab.pos_to_index.get
+    return _table(
+        np.array([words(x, UNK_INDEX) for x in surfaces] + [PAD_INDEX], dtype=np.int64),
+        np.array([pos(t.pos, UNK_INDEX) for t in tokens] + [PAD_INDEX], dtype=np.int64),
+        np.array([LABEL_TO_INDEX[t.label] for t in tokens] + [-1], dtype=np.int64),
+        vocab.char_indices("".join(surfaces)),
+        [len(x) for x in surfaces],
+        lengths,
+        config.window,
+        config.stride,
+    )
+
+
+def chunk_rows(chunks: Sequence[PaddedChunk]) -> ChunkRows:
+    """Chunk objects as the rows of a table of their own, in order: each
+    chunk's real slots are one sentence.  Raises ValueError for no chunks,
+    mixed windows, or real slots that are not a prefix of the window."""
+    if not chunks:
+        raise ValueError("empty chunk batch")
+    window = chunks[0].window
+    if any(c.window != window for c in chunks):
+        raise ValueError("all chunks in a batch must share the window size")
+    mask = np.stack([c.mask for c in chunks]).astype(bool)
+    real = mask.sum(axis=1)
+    if not (mask == (np.arange(window) < real[:, None])).all():
+        raise ValueError("the real slots of every chunk must be a prefix of its window")
+    seqs = [np.asarray(c.char_ids[t], dtype=np.int64) for c in chunks for t in range(c.real_count)]
+    table = _table(
+        *(np.append(np.stack([getattr(c, name) for c in chunks])[mask], fill)
+          for name, fill in (("word_ids", PAD_INDEX), ("pos_ids", PAD_INDEX), ("labels", -1))),
+        np.concatenate([*seqs, np.zeros(0, dtype=np.int64)]),
+        [len(s) for s in seqs],
+        real,
+        window,
+        window,
+    )
+    return table.rows(slice(None))
+
+
 def chunk_sentence(
     sentence: AnnotatedSentence, vocab: Vocabulary, config: ChunkConfig
 ) -> list[PaddedChunk]:
-    if len(sentence) == 0:
-        raise ValueError("cannot chunk an empty sentence")
+    """One sentence's chunks as objects.  Their arrays are read-only views of
+    one padded array per field, gathered from the sentence's table, so
+    overlapping chunks share memory; their char ids are views of the table's
+    char buffer."""
+    table = chunk_table([sentence], vocab, config)
     length = len(sentence)
-    n_chunks = chunk_count(length, config)
-    padded = (n_chunks - 1) * config.stride + config.window
-    word_ids = np.zeros(padded, dtype=np.int64)
-    pos_ids = np.zeros(padded, dtype=np.int64)
-    label_ids = np.full(padded, -1, dtype=np.int64)
-    word_ids[:length] = [vocab.word_index(t.surface) for t in sentence.tokens]
-    pos_ids[:length] = [vocab.pos_index(t.pos) for t in sentence.tokens]
-    label_ids[:length] = [LABEL_TO_INDEX[t.label] for t in sentence.tokens]
-    mask = np.arange(padded) < length
-    char_ids = tuple(vocab.char_indices(t.surface) for t in sentence.tokens)
-    char_ids += (np.zeros(0, dtype=np.int64),) * (padded - length)
-    for arr in (word_ids, pos_ids, label_ids, mask):
+    slots = np.arange((len(table) - 1) * config.stride + config.window)
+    mask = slots < length
+    token = np.where(mask, slots, length)  # pads read the PAD token
+    word_ids, pos_ids, labels = table.word_ids[token], table.pos_ids[token], table.labels[token]
+    start, stop = table.char_bounds[token].tolist(), table.char_bounds[token + 1].tolist()
+    for arr in (word_ids, pos_ids, labels, mask):
         arr.setflags(write=False)  # overlapping chunks share these arrays
-
-    chunks = []
-    for start in range(0, n_chunks * config.stride, config.stride):
-        view = slice(start, start + config.window)
-        chunks.append(
-            PaddedChunk(
-                word_ids=word_ids[view],
-                pos_ids=pos_ids[view],
-                char_ids=char_ids[view],
-                mask=mask[view],
-                sentence_offset=start,
-                labels=label_ids[view],
-            )
+    chars = table.chars
+    offsets = range(0, len(table) * config.stride, config.stride)
+    views = [slice(o, o + config.window) for o in offsets]
+    return [
+        PaddedChunk(
+            word_ids=word_ids[v],
+            pos_ids=pos_ids[v],
+            char_ids=CharSlots(chars, start[v], stop[v]),
+            mask=mask[v],
+            sentence_offset=v.start,
+            labels=labels[v],
         )
-    return chunks
+        for v in views
+    ]
 
 
-def merge_chunk_predictions(
-    chunks: Sequence[tuple[PaddedChunk, Sequence[Tag]]],
-) -> list[Tag]:
-    """Reconcile per-chunk tags into one sentence-level tag sequence.
+def merge_chunk_predictions(table: ChunkTable, chunk_tags: np.ndarray) -> list[list[Tag]]:
+    """Reconcile per-chunk tags into one tag sequence per sentence of the table.
 
-    Each chunk's tags (indices or strings) cover at least its real slots.
-    Where two chunks cover a position, the tag from the chunk in which the
-    position sits farther from its real edge wins (that prediction saw more
-    context); exact ties go to the earlier chunk.  Pad slots never contribute.
+    ``chunk_tags`` holds one row of ``window`` tags (indices or strings) per
+    chunk of the table, in table order; pad slots never contribute.  Where
+    chunks overlap, the tag from the chunk in which the position sits
+    farthest from its real edge wins (that prediction saw the most context):
+    chunk c with offset o and r real slots scores position p as
+    ``min(p - o, r - 1 - (p - o))``.  Exact ties go to the earlier chunk.
+    Integer arithmetic over every token at once, for any ``0 < overlap <
+    window``.  Raises ValueError unless there is one row per chunk.
     """
-    if not chunks:
-        raise ValueError("no chunks to merge")
-    ordered = sorted(chunks, key=lambda pair: pair[0].sentence_offset)
-    offsets = [chunk.sentence_offset for chunk, _ in ordered]
-    stride = offsets[1] if len(offsets) > 1 else 1
-    if stride <= 0 or offsets != list(range(0, stride * len(offsets), stride)):
-        raise ValueError(f"chunk offsets must be 0, s, 2s, ... with one s > 0; got {offsets}")
-    if any(len(tags) < chunk.real_count for chunk, tags in ordered):
-        raise ValueError("tag sequence shorter than the chunk's real slots")
-
-    last_chunk = ordered[-1][0]
-    length = last_chunk.sentence_offset + last_chunk.real_count
-    merged: list[Tag | None] = [None] * length
-    best_distance = [-1] * length
-    for chunk, tags in ordered:
-        real = chunk.real_count
-        for local in range(real):
-            pos = chunk.sentence_offset + local
-            distance = min(local, real - 1 - local)
-            if distance > best_distance[pos]:
-                best_distance[pos] = distance
-                merged[pos] = tags[local]
-    if any(tag is None for tag in merged):
-        raise ValueError("chunks do not cover the sentence")
-    return merged  # type: ignore[return-value]
+    tags = np.asarray(chunk_tags)
+    if tags.shape != (len(table), table.window):
+        raise ValueError(
+            f"chunk tags of shape {tags.shape} do not cover the table's "
+            f"{len(table)} chunks of {table.window} slots"
+        )
+    window, stride = table.window, table.stride
+    lengths, counts = table.sentence_length, table.sentence_chunks
+    if len(counts) == len(tags):  # one chunk per sentence: no position is covered twice
+        return [row[:n] for row, n in zip(tags.tolist(), lengths.tolist())]
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    length = lengths[sentence]
+    pos = np.arange(len(sentence)) - table.sentence_start[sentence]
+    # The last chunk starting at or before a position covers it; earlier
+    # chunks are full and cover it while it lies within their window.
+    last = np.minimum(pos // stride, counts[sentence] - 1)
+    chunk = last
+    local = local_last = pos - last * stride
+    best = np.minimum(local, np.minimum(window, length - last * stride) - 1 - local)
+    for back in range(1, min(-(-window // stride), int(counts.max()))):
+        local_back = local_last + back * stride
+        covers = (last >= back) & (local_back < window)
+        score = np.where(covers, np.minimum(local_back, window - 1 - local_back), -1)
+        earlier = score >= best  # the earlier chunk wins a tie
+        best = np.where(earlier, score, best)
+        chunk = np.where(earlier, last - back, chunk)
+        local = np.where(earlier, local_back, local)
+    first = (np.cumsum(counts) - counts)[sentence]
+    merged = tags.reshape(-1)[(first + chunk) * window + local].tolist()
+    ends = np.cumsum(lengths).tolist()
+    return [merged[lo:hi] for lo, hi in zip([0, *ends], ends)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -126,10 +127,25 @@ class Vocabulary:
     def pos_index(self, pos: str) -> int:
         return self.pos_to_index.get(pos, UNK_INDEX)
 
-    def char_indices(self, surface: str) -> np.ndarray:
-        return np.array(
-            [self.char_to_index.get(c, UNK_INDEX) for c in surface], dtype=np.int64
-        )
+    def char_indices(self, text: str) -> np.ndarray:
+        """The char index of every code point of ``text`` (int64): equal to
+        ``[char_to_index.get(c, UNK_INDEX) for c in text]``, by one sorted
+        lookup.  Only one-code-point keys can match, so ``<pad>`` and
+        ``<unk>`` never do; a lone surrogate is a code point like any other."""
+        keys, indices = self._char_lookup
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        at = keys.searchsorted(points)
+        return np.where(keys[at] == points, indices[at], UNK_INDEX)
+
+    @cached_property
+    def _char_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one-code-point char keys as sorted code points, closed by a key
+        above every code point, and their indices.  Built on first use, so
+        the maps must not change after it."""
+        pairs = sorted((ord(c), i) for c, i in self.char_to_index.items() if len(c) == 1)
+        pairs.append((2**32 - 1, UNK_INDEX))
+        keys, indices = zip(*pairs)
+        return np.array(keys, dtype="<u4"), np.array(indices, dtype=np.int64)
 
     @property
     def word_size(self) -> int:

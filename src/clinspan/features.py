@@ -151,7 +151,12 @@ def char_cnn_trace(seqs: list[np.ndarray], params: CharCnnParams) -> tuple[np.nd
         pos = start[:, None] + np.arange(width)
         window_ids = ids[np.where(pos >= 0, starts[token, None] + pos, -1)]  # (P, k)
         embedded = params.char_table[window_ids].reshape(token.size, filters[0].size)
-        pre = embedded @ filters.reshape(filters.shape[0], -1).T + bias
+        # numpy sends a one-row product to gemv, which rounds otherwise than
+        # the gemm a larger call runs: give it two rows and keep the first.
+        pre = (embedded if token.size != 1 else embedded[[0, 0]]) @ filters.reshape(
+            filters.shape[0], -1
+        ).T
+        pre = pre[: token.size] + bias
         scores = np.maximum(pre, 0.0)
         top = np.maximum.reduceat(scores, first, axis=0)  # (N, F)
         # The first window reaching the max (a NaN max picks the token's first).

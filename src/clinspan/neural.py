@@ -16,9 +16,13 @@ GRU cell convention (fixed throughout):
 Recurrent dropout is variational: one mask per chunk per direction, applied
 to h_prev where it enters the gates (the state carry itself is undropped).
 
-Compute layout.  Each real slot gathers its char vector through an index
-into the batch's distinct char-id sequences; the forward runs the char CNN
-as one call over those the memo does not serve, and keeps no trace.
+Compute layout.  A batch (``batch_chunks``) is one gather from a
+``chunking.ChunkTable``: (B, T) word, POS and label ids and mask, plus each
+slot's char range in the table's char buffer.  Each real slot gathers its
+char vector through an index into the batch's distinct char-id sequences,
+found by the bytes of those ranges (slices of the buffer, which are also
+the memo keys); the forward runs the char CNN as one call over those the
+memo does not serve, and keeps no trace.
 Backward recomputes one call over all of them and sums the slots' gradients
 per sequence first, which is exact because the char CNN's backward is
 linear in its output gradient.  Only real slots are featurized: the real
@@ -95,7 +99,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chunking import ChunkConfig, PaddedChunk
+from .chunking import ChunkConfig, ChunkRows, CharSlots, PaddedChunk, chunk_rows
 from .corpus import UNK_INDEX, Vocabulary
 from .features import (
     CharCnnParams,
@@ -327,25 +331,41 @@ class ChunkBatch:
     pos_ids: np.ndarray  # (B, T) int64
     mask: np.ndarray  # (B, T) float64, 1.0 at real slots
     labels: np.ndarray  # (B, T) int64, -1 at pads
-    chars: list[tuple[np.ndarray, ...]]
+    char_buffer: bytes  # the table's char ids, int64, back to back
+    char_start: np.ndarray  # (B, T) each slot's first char in the buffer, in int64 items
+    char_stop: np.ndarray  # (B, T) one past its last; pads are empty
 
     @property
     def size(self) -> int:
         return self.word_ids.shape[0]
 
+    @property
+    def chars(self) -> list[CharSlots]:
+        """Per chunk, its slots' char-id arrays (views of the buffer)."""
+        flat = np.frombuffer(self.char_buffer, dtype=np.int64)
+        return [CharSlots(flat, *ab) for ab in zip(self.char_start.tolist(), self.char_stop.tolist())]
 
-def batch_chunks(chunks: Sequence[PaddedChunk]) -> ChunkBatch:
-    if not chunks:
+
+def batch_chunks(chunks: ChunkRows | Sequence[PaddedChunk]) -> ChunkBatch:
+    """The batch of some table rows, or of chunk objects through
+    ``chunking.chunk_rows``: one gather of each token array at
+    ``start[:, None] + arange(window)``, with pads reading the table's PAD
+    token."""
+    rows = chunks if isinstance(chunks, ChunkRows) else chunk_rows(chunks)
+    if not len(rows):
         raise ValueError("empty chunk batch")
-    window = chunks[0].window
-    if any(c.window != window for c in chunks):
-        raise ValueError("all chunks in a batch must share the window size")
+    table = rows.table
+    slots = np.arange(table.window)
+    mask = slots < rows.real[:, None]
+    token = np.where(mask, rows.start[:, None] + slots, table.n_tokens)
     return ChunkBatch(
-        word_ids=np.stack([c.word_ids for c in chunks]),
-        pos_ids=np.stack([c.pos_ids for c in chunks]),
-        mask=np.stack([c.mask for c in chunks]).astype(np.float64),
-        labels=np.stack([c.labels for c in chunks]),
-        chars=[c.char_ids for c in chunks],
+        word_ids=table.word_ids[token],
+        pos_ids=table.pos_ids[token],
+        mask=mask.astype(np.float64),
+        labels=table.labels[token],
+        char_buffer=table.char_buffer,
+        char_start=table.char_bounds[token],
+        char_stop=table.char_bounds[token + 1],
     )
 
 
@@ -533,11 +553,14 @@ def _featurize_batch(
     rows = np.empty((pack.slot_i.size, model.dims.feature_dim))
     rows[:, :d_w] = model.word_table.matrix[word_ids]
     rows[:, d_w : d_w + d_p] = model.pos_table.matrix[batch.pos_ids[pack.slot_i, pack.slot_t]]
-    seen: dict[bytes, int] = {}  # char-id bytes -> distinct sequence
-    index = np.empty(pack.slot_i.size, dtype=np.intp)
-    for k, (i, t) in enumerate(zip(pack.slot_i.tolist(), pack.slot_t.tolist())):
-        key = np.asarray(batch.chars[i][t], dtype=np.int64).tobytes()
-        index[k] = seen.setdefault(key, len(seen))
+    # A slot's memo key is its char ids' bytes, a slice of the batch's
+    # buffer (8 bytes per id).
+    start = (batch.char_start[pack.slot_i, pack.slot_t] * 8).tolist()
+    stop = (batch.char_stop[pack.slot_i, pack.slot_t] * 8).tolist()
+    buffer = batch.char_buffer
+    slot_keys = [buffer[a:b] for a, b in zip(start, stop)]
+    seen = {key: j for j, key in enumerate(dict.fromkeys(slot_keys))}  # in first-slot order
+    index = np.fromiter(map(seen.__getitem__, slot_keys), dtype=np.intp, count=len(slot_keys))
     keys = list(seen)
     hits = [memo.get(key) for key in keys] if memo is not None else [None] * len(keys)
     miss = [j for j, hit in enumerate(hits) if hit is None]
@@ -739,7 +762,10 @@ def _feature_grads(
     # slot of each distinct sequence recomputes the trace.
     char = model.char_params
     first = np.unique(cache.char_index, return_index=True)[1]
-    seqs = [batch.chars[i][t] for i, t in zip(pack.slot_i[first], pack.slot_t[first])]
+    i, t = pack.slot_i[first], pack.slot_t[first]
+    flat = np.frombuffer(batch.char_buffer, dtype=np.int64)
+    bounds = zip(batch.char_start[i, t].tolist(), batch.char_stop[i, t].tolist())
+    seqs = [flat[a:b] for a, b in bounds]
     d_chars = np.zeros((first.size, char.output_dim))
     np.add.at(d_chars, cache.char_index, dx[:, d_w + d_p :])
     _, trace = char_cnn_trace(seqs, char)

@@ -19,7 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics
-from .chunking import ChunkConfig, PaddedChunk, chunk_sentence, merge_chunk_predictions
+from .chunking import ChunkConfig, ChunkTable, chunk_table, merge_chunk_predictions
+# Unused here: perfbench's tracer patches this name in this module (perfbench/spans.py).
+from .chunking import chunk_sentence  # noqa: F401
 from .corpus import (
     LABEL_TO_INDEX,
     LABELS,
@@ -46,6 +48,7 @@ from .neural import (
     tensor_shapes,
 )
 
+_TAG_STRINGS = np.array(LABELS)  # tag index -> tag string, for whole arrays at once
 ARCHIVE_MAGIC = b"CLSPANMD"
 ARCHIVE_VERSION = 1
 EVAL_BATCH = 256
@@ -141,29 +144,28 @@ class TrainHistory:
 
 
 def _evaluate_chunks(
-    model: ModelParameters, chunks: Sequence[PaddedChunk], batch_size: int = EVAL_BATCH
-) -> tuple[float, list[list[int]]]:
-    """One dropout-free forward over the chunks: summed loss and one row of
-    tag indices per chunk, pads included; ties resolve B < I < O."""
+    model: ModelParameters, table: ChunkTable, batch_size: int = EVAL_BATCH
+) -> tuple[float, np.ndarray]:
+    """One dropout-free forward over the table's chunks, in table order:
+    summed loss and the tag indices of every slot (C, window), pads
+    included; ties resolve B < I < O."""
     total = 0.0
-    chunk_tags: list[list[int]] = []
-    for lo in range(0, len(chunks), batch_size):
-        cache = forward_batch(model, batch_chunks(chunks[lo : lo + batch_size]))
+    chunk_tags = np.empty((len(table), table.window), dtype=np.intp)
+    for lo in range(0, len(table), batch_size):
+        cache = forward_batch(model, batch_chunks(table.rows(slice(lo, lo + batch_size))))
         total += float(cache.chunk_losses.sum())
-        chunk_tags.extend(np.argmax(cache.probs, axis=-1).tolist())  # the first max wins
+        chunk_tags[lo : lo + batch_size] = np.argmax(cache.probs, axis=-1)  # the first max wins
         del cache  # the next batch's forward should not run while this one is alive
     return total, chunk_tags
 
 
 def _predict(
-    model: ModelParameters, per_sentence: Sequence[list[PaddedChunk]], batch_size: int = EVAL_BATCH
+    model: ModelParameters, table: ChunkTable, batch_size: int = EVAL_BATCH
 ) -> tuple[float, list[list[str]]]:
-    """One dropout-free forward over the chunks of each sentence: summed loss
-    and merged tags per sentence."""
-    total, chunk_tags = _evaluate_chunks(model, [c for cs in per_sentence for c in cs], batch_size)
-    rows = iter(chunk_tags)
-    merged = (merge_chunk_predictions([(c, next(rows)) for c in cs]) for cs in per_sentence)
-    return total, [[LABELS[k] for k in tags] for tags in merged]
+    """One dropout-free forward over the table's chunks: summed loss and
+    merged tags per sentence."""
+    total, chunk_tags = _evaluate_chunks(model, table, batch_size)
+    return total, merge_chunk_predictions(table, _TAG_STRINGS[chunk_tags])
 
 
 def predict_corpus_labels(
@@ -174,7 +176,7 @@ def predict_corpus_labels(
     batch_size: int = EVAL_BATCH,
 ) -> list[list[str]]:
     """Dropout-free predicted tag sequences, one per sentence."""
-    return _predict(model, [chunk_sentence(s, vocab, config) for s in sentences], batch_size)[1]
+    return _predict(model, chunk_table(sentences, vocab, config), batch_size)[1]
 
 
 def annotate_sentence(
@@ -230,11 +232,10 @@ def train(
     dims = config.model_dims(embeddings.dim)
     model = init_parameters(dims, vocab, embeddings, rng, config.train_word_embeddings)
 
-    train_chunks = [c for s in train_sents for c in chunk_sentence(s, vocab, chunk_config)]
-    valid_per_sentence = [chunk_sentence(s, vocab, chunk_config) for s in valid_sents]
+    train_chunks = chunk_table(train_sents, vocab, chunk_config)
+    valid_chunks = chunk_table(valid_sents, vocab, chunk_config)
     valid_gold = [[(s.start, s.end) for s in decode_iob(sent.labels())] for sent in valid_sents]
-    outside = LABEL_TO_INDEX["O"]
-    if all((c.labels[c.mask] == outside).all() for c in train_chunks):
+    if (train_chunks.labels[:-1] == LABEL_TO_INDEX["O"]).all():
         warnings.warn("training data contains no concept spans", stacklevel=2)
 
     state = AdamState.for_model(model)
@@ -246,7 +247,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_chunks))
         for lo in range(0, len(order), config.batch_size):
-            batch = batch_chunks([train_chunks[i] for i in order[lo : lo + config.batch_size]])
+            batch = batch_chunks(train_chunks.rows(order[lo : lo + config.batch_size]))
             plan = make_dropout_plan(
                 rng, config.dropout, batch.size, config.window, dims.feature_dim, dims.hidden
             )
@@ -261,7 +262,7 @@ def train(
 
         train_loss, _ = _evaluate_chunks(model, train_chunks)
         if valid_sents:
-            valid_loss, predicted = _predict(model, valid_per_sentence)
+            valid_loss, predicted = _predict(model, valid_chunks)
             pred = [[(s.start, s.end) for s in decode_iob(tags)] for tags in predicted]
             _, _, valid_f1 = metrics.prf(metrics.span_match_counts(valid_gold, pred))
         else:

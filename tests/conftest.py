@@ -91,3 +91,68 @@ def spans_to_iob(spans, length: int) -> list[str]:
         for i in range(span.start + 1, span.end):
             tags[i] = "I"
     return tags
+
+
+# Independent oracle for the chunk merge (clinspan.chunking.merge_chunk_predictions):
+# the per-position loop the table merge replaced.
+
+
+def merge_by_loop(pairs):
+    """Merge one sentence's (chunk, tags) pairs position by position.
+
+    Where two chunks cover a position, the tag from the chunk in which it
+    sits farther from its real edge wins; exact ties go to the earlier chunk.
+    """
+    if not pairs:
+        raise ValueError("no chunks to merge")
+    ordered = sorted(pairs, key=lambda pair: pair[0].sentence_offset)
+    offsets = [chunk.sentence_offset for chunk, _ in ordered]
+    stride = offsets[1] if len(offsets) > 1 else 1
+    if stride <= 0 or offsets != list(range(0, stride * len(offsets), stride)):
+        raise ValueError(f"chunk offsets must be 0, s, 2s, ... with one s > 0; got {offsets}")
+    if any(len(tags) < chunk.real_count for chunk, tags in ordered):
+        raise ValueError("tag sequence shorter than the chunk's real slots")
+    last_chunk = ordered[-1][0]
+    length = last_chunk.sentence_offset + last_chunk.real_count
+    merged = [None] * length
+    best_distance = [-1] * length
+    for chunk, tags in ordered:
+        real = chunk.real_count
+        for local in range(real):
+            pos = chunk.sentence_offset + local
+            distance = min(local, real - 1 - local)
+            if distance > best_distance[pos]:
+                best_distance[pos] = distance
+                merged[pos] = tags[local]
+    if any(tag is None for tag in merged):
+        raise ValueError("chunks do not cover the sentence")
+    return merged
+
+
+def chunk_by_loop(sentence, vocab, config):
+    """One sentence's chunks, built token by token with the vocabulary's
+    dicts: the construction the chunk table replaced, kept as an oracle."""
+    from clinspan.chunking import PaddedChunk, chunk_count
+    from clinspan.corpus import LABEL_TO_INDEX, UNK_INDEX
+
+    length = len(sentence)
+    n_chunks = chunk_count(length, config)
+    padded = (n_chunks - 1) * config.stride + config.window
+    word_ids = np.zeros(padded, dtype=np.int64)
+    pos_ids = np.zeros(padded, dtype=np.int64)
+    labels = np.full(padded, -1, dtype=np.int64)
+    chars = [np.zeros(0, dtype=np.int64)] * padded
+    for k, token in enumerate(sentence.tokens):
+        word_ids[k] = vocab.word_to_index.get(token.surface, UNK_INDEX)
+        pos_ids[k] = vocab.pos_to_index.get(token.pos, UNK_INDEX)
+        labels[k] = LABEL_TO_INDEX[token.label]
+        chars[k] = np.array(
+            [vocab.char_to_index.get(c, UNK_INDEX) for c in token.surface], dtype=np.int64
+        )
+    mask = np.arange(padded) < length
+    return [
+        PaddedChunk(word_ids[o : o + config.window], pos_ids[o : o + config.window],
+                    tuple(chars[o : o + config.window]), mask[o : o + config.window], o,
+                    labels[o : o + config.window])
+        for o in range(0, n_chunks * config.stride, config.stride)
+    ]

@@ -12,7 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from clinspan.chunking import ChunkConfig, chunk_count, chunk_sentence, merge_chunk_predictions
+from clinspan.chunking import (
+    ChunkConfig, chunk_count, chunk_sentence, chunk_table, merge_chunk_predictions,
+)
 from clinspan.cli import build_parser, build_run_config, main
 from clinspan.corpus import (
     LABELS,
@@ -129,8 +131,9 @@ def test_criterion_3_chunking_conformance():
             for a, b in zip(chunks, chunks[1:]):
                 shared = a.sentence_offset + a.real_count - b.sentence_offset
                 assert shared == 2
-            pairs = [(c, [LABELS[i] for i in c.labels[: c.real_count]]) for c in chunks]
-            assert merge_chunk_predictions(pairs) == labels
+            rows = np.asarray(LABELS)[np.stack([c.labels for c in chunks])]
+            table = chunk_table([sentence], vocab, config)
+            assert merge_chunk_predictions(table, rows) == [labels]
 
 
 def test_criterion_4_metrics_oracle():

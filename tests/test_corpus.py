@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from clinspan.chunking import ChunkConfig
 from clinspan.corpus import (
     EMPTY_PLACEHOLDER,
+    PAD,
     PAD_INDEX,
+    UNK,
     UNK_INDEX,
     ParseError,
+    Vocabulary,
     build_vocab,
     corpus_stats,
     format_stats,
@@ -291,3 +294,50 @@ class TestCorpusStats:
         assert "Number of chunks after chunking" in text
         assert "Number of annotated concepts" in text
         assert "Sentence length histogram" in text
+
+
+# Single characters of every kind: ASCII, non-ASCII, astral, lone surrogates
+# and the empty-surface placeholder.
+any_char = st.one_of(
+    st.characters(),
+    st.integers(0x80, 0xFFFF).filter(lambda c: not 0xD800 <= c <= 0xDFFF).map(chr),
+    st.integers(0x10000, 0x10FFFF).map(chr),
+    st.integers(0xD800, 0xDFFF).map(chr),
+    st.sampled_from([EMPTY_PLACEHOLDER, "<", ">", "p", "a", "d", "u", "n", "k"]),
+)
+
+
+class TestCharIndices:
+    """The vectorised char lookup against the per-char dict."""
+
+    @staticmethod
+    def _vocab(chars, extra_keys=()):
+        char_to_index = {PAD: PAD_INDEX, UNK: UNK_INDEX}
+        for key in [*chars, *extra_keys]:
+            char_to_index.setdefault(key, len(char_to_index))
+        return Vocabulary({PAD: PAD_INDEX, UNK: UNK_INDEX}, {PAD: PAD_INDEX, UNK: UNK_INDEX},
+                          char_to_index)
+
+    @given(st.lists(any_char, max_size=30), st.text(any_char, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_char_dict(self, known, text):
+        vocab = self._vocab(known, extra_keys=("ab", "\U0001F600x"))
+        got = vocab.char_indices(text)
+        assert got.dtype == np.int64
+        assert got.tolist() == [vocab.char_to_index.get(c, UNK_INDEX) for c in text]
+
+    def test_multi_char_keys_never_match(self):
+        vocab = self._vocab("xy", extra_keys=("xy",))
+        assert vocab.char_indices(PAD + UNK).tolist() == [UNK_INDEX] * len(PAD + UNK)
+        assert vocab.char_indices("xy").tolist() == [2, 3]  # not the key "xy" (4)
+
+    def test_placeholder_and_surrogates(self):
+        sentence = make_sentence([(EMPTY_PLACEHOLDER, "O"), ("q\U0001F600", "O")])
+        vocab = build_vocab(make_corpus([sentence]))
+        assert EMPTY_PLACEHOLDER not in vocab.char_to_index
+        text = EMPTY_PLACEHOLDER + "q\U0001F600\ud800"
+        assert vocab.char_indices(text).tolist() == [
+            UNK_INDEX, vocab.char_to_index["q"], vocab.char_to_index["\U0001F600"], UNK_INDEX,
+        ]
+        assert self._vocab(["\udfff"]).char_indices("\udfff\ud800").tolist() == [2, UNK_INDEX]
+        assert vocab.char_indices("").tolist() == []

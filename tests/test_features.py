@@ -267,6 +267,22 @@ class TestCharCnn:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_one_window_call_equals_the_same_token_in_a_larger_call(self):
+        # A call whose product has one row must round as a larger call does:
+        # numpy would send a one-row product to gemv instead of gemm.  The
+        # default char dims: 24-wide chars, 32 filters of width 3.
+        rng = np.random.default_rng(0)
+        params = CharCnnParams(
+            np.vstack([np.zeros(24), rng.uniform(-0.35, 0.35, size=(40, 24))]), (3,),
+            [rng.uniform(-0.2, 0.2, size=(32, 3, 24))], [rng.normal(0.0, 0.1, size=32)],
+        )
+        other = np.arange(2, 9)
+        for _ in range(200):
+            short = rng.integers(2, 41, size=rng.integers(1, 4))  # one window at width 3
+            alone = char_cnn_trace([short], params)[0][0]
+            inside = char_cnn_trace([other, short], params)[0][1]
+            assert alone.tobytes() == inside.tobytes(), short
+
     def test_embedding_dim_permutation_covariance(self):
         # Permuting table columns together with the filters' embedding axis
         # leaves every dot product unchanged.

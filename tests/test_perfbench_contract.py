@@ -147,8 +147,9 @@ def test_threaded_backward_leaves_a_finished_trace(bench, trained, overfit_corpu
         assert [index.spans[c].name for c in index.children[i]] == ["features.char_cnn_trace"]
 
 
-def test_one_merge_span_per_predicted_sentence(bench, trained, overfit_corpus):
-    # chunking.merge_chunk_predictions_s is the time of these spans, one per sentence.
+def test_one_merge_span_per_predict_call(bench, trained, overfit_corpus):
+    # chunking.merge_chunk_predictions_s sums these spans per request: one
+    # merge over every sentence of a predict_corpus_labels call.
     model, vocab, config = trained
     sentences = overfit_corpus.sentences * 2
     spans = bench["spans"]
@@ -156,10 +157,13 @@ def test_one_merge_span_per_predicted_sentence(bench, trained, overfit_corpus):
     tracer.install()
     try:
         predict_corpus_labels(model, vocab, sentences, config.chunk_config)
+        predict_corpus_labels(model, vocab, sentences[:1], config.chunk_config)
     finally:
         tracer.uninstall()
-    merges = spans.SpanIndex(tracer.spans).of("chunking.merge_chunk_predictions")
-    assert len(merges) == len(sentences)
+    index = spans.SpanIndex(tracer.spans)
+    merges = index.of("chunking.merge_chunk_predictions")
+    assert len(merges) == 2
+    assert all(index.spans[i].parent == -1 for i in merges)
 
 
 def _convolutions_under(index, name):

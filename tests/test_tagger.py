@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clinspan import neural, tagger
-from clinspan.chunking import ChunkConfig, chunk_sentence, merge_chunk_predictions
+from clinspan.chunking import ChunkConfig, chunk_sentence, chunk_table
 from clinspan.corpus import (
     LABELS, UNK_INDEX, ConceptSpan, build_vocab, decode_iob, stratified_split,
 )
@@ -45,7 +45,9 @@ from clinspan.tagger import (
     write_atomic,
 )
 
-from conftest import count_spans, make_corpus, make_sentence, parse_text, spans_to_iob
+from conftest import (
+    count_spans, make_corpus, make_sentence, merge_by_loop, parse_text, spans_to_iob,
+)
 
 
 class TestDecodeIob:
@@ -197,7 +199,7 @@ class TestAnnotateSentence:
             for chunk in chunks:
                 probs = forward_batch(model, batch_chunks([chunk])).probs[0]
                 pairs.append((chunk, [LABELS[k] for k in np.argmax(probs[: chunk.real_count], -1)]))
-            expected.append(merge_chunk_predictions(pairs))
+            expected.append(merge_by_loop(pairs))
         assert [len(chunk_sentence(s, vocab, config)) for s in sentences] == [1, 2, 3, 4]
         assert len({tag for tags in expected for tag in tags}) > 1
         assert predict_corpus_labels(model, vocab, sentences, config, batch_size) == expected
@@ -327,12 +329,12 @@ class TestTrain:
                 eval_chunks.append(batch.size)
             return original_forward(model, batch, plan)
 
-        def counting_chunk(sentence, vocab, config):
-            chunked.append(sentence)
-            return chunk_sentence(sentence, vocab, config)
+        def counting_chunk(sentences, vocab, config):
+            chunked.extend(sentences)
+            return chunk_table(sentences, vocab, config)
 
         monkeypatch.setattr(tagger, "forward_batch", counting_forward)
-        monkeypatch.setattr(tagger, "chunk_sentence", counting_chunk)
+        monkeypatch.setattr(tagger, "chunk_table", counting_chunk)
         train(corpus, emb, config, vocab=vocab)
         assert sum(eval_chunks) == config.epochs * (n_chunks["train"] + n_chunks["valid"])
         assert len(chunked) == len(corpus.sentences)
@@ -538,6 +540,29 @@ class TestCharMemo:
         for _ in ("cold", "warm"):
             assert forward_batch(loaded, batch).probs.tobytes() == expected.tobytes()
         assert loaded.char_memo
+
+    def test_warm_forward_missing_one_short_oov_token_equals_clone(self, tmp_path, monkeypatch):
+        # The warm model's char CNN runs on the one OOV token alone, a single
+        # window at width 3; its clone computes it among the others.  Default
+        # char dims, untrained.
+        corpus, vocab, emb = _training_setup()
+        model, _ = train(corpus, emb, TrainConfig(epochs=0, hidden=8), vocab=vocab)
+        save_model(model, vocab, str(tmp_path / "model.bin"))
+        loaded, vocab = load_model(str(tmp_path / "model.bin"))
+        clone = loaded.clone()
+        config = ChunkConfig()
+        words = ["drug0", "dose", "filler1"]
+        forward_batch(loaded, batch_chunks(chunk_sentence(
+            make_sentence([(w, "O") for w in words]), vocab, config)))
+        calls = self._cnn_calls(monkeypatch)
+        for oov in ("dog", "sue", "eg", "r", "ode", "lid", "fig", "1r"):
+            assert vocab.word_index(oov) == UNK_INDEX
+            chunks = chunk_sentence(make_sentence([(w, "O") for w in words + [oov]]), vocab, config)
+            batch = batch_chunks(chunks)
+            got = forward_batch(loaded, batch).probs.tobytes()
+            assert [len(seqs) for seqs in calls] == [1]
+            assert got == forward_batch(clone, batch).probs.tobytes(), oov
+            calls.clear()
 
     def test_warm_forward_computes_only_oov_sequences(self, tmp_path, monkeypatch):
         loaded, vocab = self._loaded(tmp_path)
