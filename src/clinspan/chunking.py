@@ -166,17 +166,16 @@ def _table(
 ) -> ChunkTable:
     """A table over the given tokens (the PAD token included) and sentence
     lengths; ``char_counts`` has one entry per token before the PAD one."""
-    bounds = np.cumsum([0, *char_counts, 0], dtype=np.int64)  # the PAD token's chars are empty
-    ends = np.cumsum(lengths)
+    # Array methods, not np.cumsum or np.repeat: they skip a layer of Python
+    # dispatch, which shows in a one-sentence table.
+    bounds = np.array([0, *char_counts, 0], dtype=np.int64).cumsum()  # the PAD token has no chars
+    ends = lengths.cumsum()
     starts = ends - lengths
-    if lengths.max(initial=0) <= window:  # one chunk per sentence
-        counts, chunk_start, chunk_real = np.ones_like(lengths), starts, lengths
-    else:
-        counts = 1 + np.maximum(0, (lengths - window + stride - 1) // stride)
-        # Chunk c, the j-th of sentence s, starts at starts[s] + j * stride.
-        first = np.cumsum(counts) - counts
-        chunk_start = np.repeat(starts - first * stride, counts) + np.arange(counts.sum()) * stride
-        chunk_real = np.minimum(window, np.repeat(ends, counts) - chunk_start)
+    counts = np.maximum(1, -((window - stride - lengths) // stride))  # ceil((L - overlap) / stride)
+    # Chunk c, the j-th of sentence s, starts at starts[s] + j * stride.
+    first = counts.cumsum() - counts
+    chunk_start = (starts - first * stride).repeat(counts) + np.arange(counts.sum()) * stride
+    chunk_real = np.minimum(window, ends.repeat(counts) - chunk_start)
     return ChunkTable(
         window=window,
         stride=stride,
@@ -198,8 +197,8 @@ def chunk_table(
 ) -> ChunkTable:
     """The table of the sentences' chunks.  The char ids come from one
     ``vocab.char_indices`` call over the joined surfaces."""
-    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
-    if not lengths.all():
+    lengths = [len(s) for s in sentences]
+    if not all(lengths):
         raise ValueError("cannot chunk an empty sentence")
     tokens = [t for s in sentences for t in s.tokens]
     surfaces = [t.surface for t in tokens]
@@ -210,7 +209,7 @@ def chunk_table(
         np.array([LABEL_TO_INDEX[t.label] for t in tokens] + [-1], dtype=np.int64),
         vocab.char_indices("".join(surfaces)),
         [len(x) for x in surfaces],
-        lengths,
+        np.array(lengths, dtype=np.int64),
         config.window,
         config.stride,
     )
@@ -292,28 +291,22 @@ def merge_chunk_predictions(table: ChunkTable, chunk_tags: np.ndarray) -> list[l
             f"chunk tags of shape {tags.shape} do not cover the table's "
             f"{len(table)} chunks of {table.window} slots"
         )
-    window, stride = table.window, table.stride
-    lengths, counts = table.sentence_length, table.sentence_chunks
-    if len(counts) == len(tags):  # one chunk per sentence: no position is covered twice
-        return [row[:n] for row, n in zip(tags.tolist(), lengths.tolist())]
-    sentence = np.repeat(np.arange(len(lengths)), lengths)
-    length = lengths[sentence]
-    pos = np.arange(len(sentence)) - table.sentence_start[sentence]
-    # The last chunk starting at or before a position covers it; earlier
-    # chunks are full and cover it while it lies within their window.
-    last = np.minimum(pos // stride, counts[sentence] - 1)
-    chunk = last
-    local = local_last = pos - last * stride
-    best = np.minimum(local, np.minimum(window, length - last * stride) - 1 - local)
-    for back in range(1, min(-(-window // stride), int(counts.max()))):
-        local_back = local_last + back * stride
-        covers = (last >= back) & (local_back < window)
-        score = np.where(covers, np.minimum(local_back, window - 1 - local_back), -1)
+    window, start, real = table.window, table.chunk_start, table.chunk_real
+    token = np.arange(table.n_tokens)
+    # The last chunk starting at or before a token covers it (a sentence's
+    # first chunk starts at its first token).  An earlier chunk scores below
+    # 0 where it does not cover the token, so it never wins there.
+    last = chunk = start.searchsorted(token, side="right") - 1
+    local = token - start[last]
+    best = np.minimum(local, real[last] - 1 - local)
+    for back in range(1, min(-(-window // table.stride), int(table.sentence_chunks.max(initial=0)))):
+        earlier_chunk = np.maximum(last - back, 0)  # before chunk 0, chunk 0 again: no change
+        local_back = token - start[earlier_chunk]
+        score = np.minimum(local_back, real[earlier_chunk] - 1 - local_back)
         earlier = score >= best  # the earlier chunk wins a tie
         best = np.where(earlier, score, best)
-        chunk = np.where(earlier, last - back, chunk)
+        chunk = np.where(earlier, earlier_chunk, chunk)
         local = np.where(earlier, local_back, local)
-    first = (np.cumsum(counts) - counts)[sentence]
-    merged = tags.reshape(-1)[(first + chunk) * window + local].tolist()
-    ends = np.cumsum(lengths).tolist()
-    return [merged[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    merged = tags.reshape(-1)[chunk * window + local].tolist()
+    starts, lengths = table.sentence_start.tolist(), table.sentence_length.tolist()
+    return [merged[lo : lo + n] for lo, n in zip(starts, lengths)]

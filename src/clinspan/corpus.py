@@ -132,20 +132,22 @@ class Vocabulary:
         ``[char_to_index.get(c, UNK_INDEX) for c in text]``, by one sorted
         lookup.  Only one-code-point keys can match, so ``<pad>`` and
         ``<unk>`` never do; a lone surrogate is a code point like any other."""
-        keys, indices = self._char_lookup
+        bounds, values = self._char_steps
         points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        at = keys.searchsorted(points)
-        return np.where(keys[at] == points, indices[at], UNK_INDEX)
+        return values[bounds.searchsorted(points, side="right")]
 
     @cached_property
-    def _char_lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """The one-code-point char keys as sorted code points, closed by a key
-        above every code point, and their indices.  Built on first use, so
-        the maps must not change after it."""
-        pairs = sorted((ord(c), i) for c, i in self.char_to_index.items() if len(c) == 1)
-        pairs.append((2**32 - 1, UNK_INDEX))
-        keys, indices = zip(*pairs)
-        return np.array(keys, dtype="<u4"), np.array(indices, dtype=np.int64)
+    def _char_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The char index as a step function of the code point: a point p
+        reads ``values[i]``, where i counts the ``bounds`` at or below p.
+        Each one-code-point key k opens a step at k and closes it at k + 1;
+        every other point reads ``UNK_INDEX``.  Built on first use, so the
+        maps must not change after it."""
+        bounds, values = [0], [UNK_INDEX, UNK_INDEX]  # values[0] is never read: 0 <= p
+        for point, index in sorted((ord(c), i) for c, i in self.char_to_index.items() if len(c) == 1):
+            bounds += [point, point + 1]
+            values += [index, UNK_INDEX]
+        return np.array(bounds, dtype="<u4"), np.array(values, dtype=np.int64)
 
     @property
     def word_size(self) -> int:

@@ -558,9 +558,10 @@ def _featurize_batch(
     start = (batch.char_start[pack.slot_i, pack.slot_t] * 8).tolist()
     stop = (batch.char_stop[pack.slot_i, pack.slot_t] * 8).tolist()
     buffer = batch.char_buffer
-    slot_keys = [buffer[a:b] for a, b in zip(start, stop)]
-    seen = {key: j for j, key in enumerate(dict.fromkeys(slot_keys))}  # in first-slot order
-    index = np.fromiter(map(seen.__getitem__, slot_keys), dtype=np.intp, count=len(slot_keys))
+    seen: dict[bytes, int] = {}  # distinct sequences in first-slot order
+    index = np.array(
+        [seen.setdefault(buffer[a:b], len(seen)) for a, b in zip(start, stop)], dtype=np.intp
+    )
     keys = list(seen)
     hits = [memo.get(key) for key in keys] if memo is not None else [None] * len(keys)
     miss = [j for j, hit in enumerate(hits) if hit is None]
