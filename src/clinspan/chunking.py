@@ -8,16 +8,16 @@ The sentences of one pass are one ``ChunkTable``: flat per-token word, POS
 and label ids, each sentence's first token and length, and every token's
 char ids back to back in one int64 buffer with per-token offsets.  A chunk
 is a row of the table, the token index of its slot 0 and its count of real
-slots; no object is made per token or per chunk.  A batch of rows is one
-fancy index over the token arrays (``neural.batch_chunks``), and
+slots; no object is made per token or per chunk.  ``batch_chunks`` lays out
+the slots of a batch: for table rows it is one fancy index over the token
+arrays, and it also stacks ``PaddedChunk`` objects as they are.
 ``merge_chunk_predictions`` reconciles the tags of every chunk of the table
 at once.  ``chunk_sentence`` gives one sentence's chunks as ``PaddedChunk``
-objects, read-only views of arrays gathered from its table, for code that
-reads a chunk by slot.  All functions are pure.
+objects, read-only rows of one batch, for code that reads a chunk by slot.
+All functions are pure.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TypeVar
@@ -52,8 +52,8 @@ class PaddedChunk:
     Real slots form a contiguous prefix; ``sentence_offset`` is the sentence
     position of slot 0, and the chunks of a sentence sit at offsets 0,
     stride, 2*stride, ...  The arrays from ``chunk_sentence`` are read-only
-    views shared with the overlapping neighbours.  Labels are tag indices
-    with -1 on pad slots; unlabeled input reads as ``O``.
+    rows of one batch.  Labels are tag indices with -1 on pad slots;
+    unlabeled input reads as ``O``.
     """
 
     word_ids: np.ndarray  # (window,) int64
@@ -70,24 +70,6 @@ class PaddedChunk:
     @property
     def real_count(self) -> int:
         return int(self.mask.sum())
-
-
-class CharSlots(Sequence):
-    """Per-slot char ids of some chunk slots: slot t reads
-    ``flat[start[t]:stop[t]]``, a view, made when it is read."""
-
-    __slots__ = ("flat", "start", "stop")
-
-    def __init__(self, flat: np.ndarray, start: list[int], stop: list[int]) -> None:
-        self.flat, self.start, self.stop = flat, start, stop
-
-    def __len__(self) -> int:
-        return len(self.start)
-
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return [self[k] for k in range(len(self))[t]]
-        return self.flat[self.start[t] : self.stop[t]]
 
 
 @dataclass(frozen=True)
@@ -135,7 +117,7 @@ class ChunkTable:
 
 @dataclass(frozen=True)
 class ChunkRows:
-    """Some chunks of a table, in order: the input of ``neural.batch_chunks``."""
+    """Some chunks of a table, in order: the input of ``batch_chunks``."""
 
     table: ChunkTable
     start: np.ndarray  # (B,) token at slot 0
@@ -145,51 +127,41 @@ class ChunkRows:
         return len(self.start)
 
 
+@dataclass
+class ChunkBatch:
+    word_ids: np.ndarray  # (B, T) int64
+    pos_ids: np.ndarray  # (B, T) int64
+    mask: np.ndarray  # (B, T) float64, 1.0 at real slots
+    labels: np.ndarray  # (B, T) int64, -1 at pads
+    char_buffer: bytes  # int64 char ids back to back: a table's buffer, or the stacked chunks'
+    char_start: np.ndarray  # (B, T) each slot's first char in the buffer, in int64 items
+    char_stop: np.ndarray  # (B, T) one past its last; pads are empty
+
+    @property
+    def size(self) -> int:
+        return self.word_ids.shape[0]
+
+    @property
+    def chars(self) -> list[list[np.ndarray]]:
+        """Per chunk, its slots' char-id arrays: views of the buffer."""
+        flat = np.frombuffer(self.char_buffer, dtype=np.int64)
+        return [
+            [flat[a:b] for a, b in zip(start, stop)]
+            for start, stop in zip(self.char_start.tolist(), self.char_stop.tolist())
+        ]
+
+
+def _chunks_per_sentence(lengths: int | np.ndarray, config: ChunkConfig) -> np.ndarray:
+    """ceil((L - overlap) / stride), at least 1: the chunks of a sentence of
+    L >= 1 tokens, for an int or elementwise for an int array."""
+    return np.maximum(1, -((config.overlap - lengths) // config.stride))
+
+
 def chunk_count(sentence_len: int, config: ChunkConfig) -> int:
     """How many windows a sentence of the given length produces."""
     if sentence_len < 1:
         raise ValueError("sentence_len must be >= 1")
-    if sentence_len <= config.window:
-        return 1
-    return 1 + math.ceil((sentence_len - config.window) / config.stride)
-
-
-def _table(
-    word_ids: np.ndarray,
-    pos_ids: np.ndarray,
-    labels: np.ndarray,
-    chars: np.ndarray,
-    char_counts: list[int],
-    lengths: np.ndarray,
-    window: int,
-    stride: int,
-) -> ChunkTable:
-    """A table over the given tokens (the PAD token included) and sentence
-    lengths; ``char_counts`` has one entry per token before the PAD one."""
-    # Array methods, not np.cumsum or np.repeat: they skip a layer of Python
-    # dispatch, which shows in a one-sentence table.
-    bounds = np.array([0, *char_counts, 0], dtype=np.int64).cumsum()  # the PAD token has no chars
-    ends = lengths.cumsum()
-    starts = ends - lengths
-    counts = np.maximum(1, -((window - stride - lengths) // stride))  # ceil((L - overlap) / stride)
-    # Chunk c, the j-th of sentence s, starts at starts[s] + j * stride.
-    first = counts.cumsum() - counts
-    chunk_start = (starts - first * stride).repeat(counts) + np.arange(counts.sum()) * stride
-    chunk_real = np.minimum(window, ends.repeat(counts) - chunk_start)
-    return ChunkTable(
-        window=window,
-        stride=stride,
-        word_ids=word_ids,
-        pos_ids=pos_ids,
-        labels=labels,
-        char_buffer=chars.astype(np.int64, copy=False).tobytes(),
-        char_bounds=bounds,
-        sentence_start=starts,
-        sentence_length=lengths,
-        sentence_chunks=counts,
-        chunk_start=chunk_start,
-        chunk_real=chunk_real,
-    )
+    return int(_chunks_per_sentence(sentence_len, config))
 
 
 def chunk_table(
@@ -197,79 +169,97 @@ def chunk_table(
 ) -> ChunkTable:
     """The table of the sentences' chunks.  The char ids come from one
     ``vocab.char_indices`` call over the joined surfaces."""
-    lengths = [len(s) for s in sentences]
-    if not all(lengths):
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    if not lengths.all():
         raise ValueError("cannot chunk an empty sentence")
     tokens = [t for s in sentences for t in s.tokens]
     surfaces = [t.surface for t in tokens]
     words, pos = vocab.word_to_index.get, vocab.pos_to_index.get
-    return _table(
-        np.array([words(x, UNK_INDEX) for x in surfaces] + [PAD_INDEX], dtype=np.int64),
-        np.array([pos(t.pos, UNK_INDEX) for t in tokens] + [PAD_INDEX], dtype=np.int64),
-        np.array([LABEL_TO_INDEX[t.label] for t in tokens] + [-1], dtype=np.int64),
-        vocab.char_indices("".join(surfaces)),
-        [len(x) for x in surfaces],
-        np.array(lengths, dtype=np.int64),
-        config.window,
-        config.stride,
+    window, stride = config.window, config.stride
+    # Array methods, not np.cumsum or np.repeat: they skip a layer of Python
+    # dispatch, which shows in a one-sentence table.
+    bounds = np.array([0, *map(len, surfaces), 0], dtype=np.int64).cumsum()  # the PAD token has no chars
+    ends = lengths.cumsum()
+    starts = ends - lengths
+    counts = _chunks_per_sentence(lengths, config)
+    # Chunk c, the j-th of sentence s, starts at starts[s] + j * stride.
+    first = counts.cumsum() - counts
+    chunk_start = (starts - first * stride).repeat(counts) + np.arange(counts.sum()) * stride
+    return ChunkTable(
+        window=window,
+        stride=stride,
+        word_ids=np.array([words(x, UNK_INDEX) for x in surfaces] + [PAD_INDEX], dtype=np.int64),
+        pos_ids=np.array([pos(t.pos, UNK_INDEX) for t in tokens] + [PAD_INDEX], dtype=np.int64),
+        labels=np.array([LABEL_TO_INDEX[t.label] for t in tokens] + [-1], dtype=np.int64),
+        char_buffer=vocab.char_indices("".join(surfaces)).tobytes(),
+        char_bounds=bounds,
+        sentence_start=starts,
+        sentence_length=lengths,
+        sentence_chunks=counts,
+        chunk_start=chunk_start,
+        chunk_real=np.minimum(window, ends.repeat(counts) - chunk_start),
     )
 
 
-def chunk_rows(chunks: Sequence[PaddedChunk]) -> ChunkRows:
-    """Chunk objects as the rows of a table of their own, in order: each
-    chunk's real slots are one sentence.  Raises ValueError for no chunks,
-    mixed windows, or real slots that are not a prefix of the window."""
-    if not chunks:
+def batch_chunks(chunks: ChunkRows | Sequence[PaddedChunk]) -> ChunkBatch:
+    """The batch of some table rows or chunk objects, in order.
+
+    Slot t of a table row reads token ``start + t``, and pad slots read the
+    table's PAD token: one gather of each token array.  Chunk objects are
+    stacked as they are, with the char ids of their real slots copied into
+    one buffer.  Raises ValueError for no chunks or for chunk objects of
+    different windows; ``forward_batch`` rejects real slots that are not a
+    prefix of the window.
+    """
+    if not len(chunks):
         raise ValueError("empty chunk batch")
-    window = chunks[0].window
-    if any(c.window != window for c in chunks):
+    if isinstance(chunks, ChunkRows):
+        table = chunks.table
+        slots = np.arange(table.window)
+        mask = slots < chunks.real[:, None]
+        token = np.where(mask, chunks.start[:, None] + slots, table.n_tokens)
+        return ChunkBatch(
+            word_ids=table.word_ids[token],
+            pos_ids=table.pos_ids[token],
+            mask=mask.astype(np.float64),
+            labels=table.labels[token],
+            char_buffer=table.char_buffer,
+            char_start=table.char_bounds[token],
+            char_stop=table.char_bounds[token + 1],
+        )
+    if any(c.window != chunks[0].window for c in chunks):
         raise ValueError("all chunks in a batch must share the window size")
     mask = np.stack([c.mask for c in chunks]).astype(bool)
-    real = mask.sum(axis=1)
-    if not (mask == (np.arange(window) < real[:, None])).all():
-        raise ValueError("the real slots of every chunk must be a prefix of its window")
-    seqs = [np.asarray(c.char_ids[t], dtype=np.int64) for c in chunks for t in range(c.real_count)]
-    table = _table(
-        *(np.append(np.stack([getattr(c, name) for c in chunks])[mask], fill)
-          for name, fill in (("word_ids", PAD_INDEX), ("pos_ids", PAD_INDEX), ("labels", -1))),
-        np.concatenate([*seqs, np.zeros(0, dtype=np.int64)]),
-        [len(s) for s in seqs],
-        real,
-        window,
-        window,
+    real = np.argwhere(mask).tolist()  # (chunk, slot) of each real slot, in row-major order
+    seqs = [np.asarray(chunks[i].char_ids[t], dtype=np.int64) for i, t in real]
+    lengths = np.zeros(mask.shape, dtype=np.int64)
+    lengths[mask] = [len(s) for s in seqs]
+    stop = lengths.cumsum().reshape(mask.shape)
+    return ChunkBatch(
+        word_ids=np.stack([c.word_ids for c in chunks]),
+        pos_ids=np.stack([c.pos_ids for c in chunks]),
+        mask=mask.astype(np.float64),
+        labels=np.stack([c.labels for c in chunks]),
+        char_buffer=b"".join(s.tobytes() for s in seqs),
+        char_start=stop - lengths,
+        char_stop=stop,
     )
-    return table.rows(slice(None))
 
 
 def chunk_sentence(
     sentence: AnnotatedSentence, vocab: Vocabulary, config: ChunkConfig
 ) -> list[PaddedChunk]:
-    """One sentence's chunks as objects.  Their arrays are read-only views of
-    one padded array per field, gathered from the sentence's table, so
-    overlapping chunks share memory; their char ids are views of the table's
-    char buffer."""
+    """One sentence's chunks as objects: read-only rows of the batch of its
+    table's rows, whose char ids are views of the table's char buffer."""
     table = chunk_table([sentence], vocab, config)
-    length = len(sentence)
-    slots = np.arange((len(table) - 1) * config.stride + config.window)
-    mask = slots < length
-    token = np.where(mask, slots, length)  # pads read the PAD token
-    word_ids, pos_ids, labels = table.word_ids[token], table.pos_ids[token], table.labels[token]
-    start, stop = table.char_bounds[token].tolist(), table.char_bounds[token + 1].tolist()
-    for arr in (word_ids, pos_ids, labels, mask):
-        arr.setflags(write=False)  # overlapping chunks share these arrays
-    chars = table.chars
-    offsets = range(0, len(table) * config.stride, config.stride)
-    views = [slice(o, o + config.window) for o in offsets]
+    batch = batch_chunks(table.rows(slice(None)))
+    mask = batch.mask > 0
+    for arr in (batch.word_ids, batch.pos_ids, batch.labels, mask):
+        arr.setflags(write=False)  # the chunks share these arrays
     return [
-        PaddedChunk(
-            word_ids=word_ids[v],
-            pos_ids=pos_ids[v],
-            char_ids=CharSlots(chars, start[v], stop[v]),
-            mask=mask[v],
-            sentence_offset=v.start,
-            labels=labels[v],
-        )
-        for v in views
+        PaddedChunk(word_ids=w, pos_ids=p, char_ids=c, mask=m, sentence_offset=o, labels=y)
+        for w, p, c, m, o, y in zip(batch.word_ids, batch.pos_ids, batch.chars, mask,
+                                    table.chunk_start.tolist(), batch.labels)
     ]
 
 

@@ -121,12 +121,6 @@ class Vocabulary:
     pos_to_index: dict[str, int]
     char_to_index: dict[str, int]
 
-    def word_index(self, surface: str) -> int:
-        return self.word_to_index.get(surface, UNK_INDEX)
-
-    def pos_index(self, pos: str) -> int:
-        return self.pos_to_index.get(pos, UNK_INDEX)
-
     def char_indices(self, text: str) -> np.ndarray:
         """The char index of every code point of ``text`` (int64): equal to
         ``[char_to_index.get(c, UNK_INDEX) for c in text]``, by one sorted

@@ -16,18 +16,17 @@ GRU cell convention (fixed throughout):
 Recurrent dropout is variational: one mask per chunk per direction, applied
 to h_prev where it enters the gates (the state carry itself is undropped).
 
-Compute layout.  A batch (``batch_chunks``) is one gather from a
-``chunking.ChunkTable``: (B, T) word, POS and label ids and mask, plus each
-slot's char range in the table's char buffer.  Each real slot gathers its
-char vector through an index into the batch's distinct char-id sequences,
-found by the bytes of those ranges (slices of the buffer, which are also
-the memo keys); the forward runs the char CNN as one call over those the
-memo does not serve, and keeps no trace.
-Backward recomputes one call over all of them and sums the slots' gradients
-per sequence first, which is exact because the char CNN's backward is
-linear in its output gradient.  Only real slots are featurized: the real
-slots of a chunk must be a prefix of its window, and feature rows hold them
-in row-major order.
+Compute layout.  A batch comes from ``chunking.batch_chunks`` (imported
+here under the same name): (B, T) word, POS and label ids and mask, plus
+each slot's char range in one char buffer.  Each real slot gathers its char
+vector through an index into the batch's distinct char-id sequences, found
+by the bytes of those ranges (slices of the buffer, which are also the memo
+keys); the forward runs the char CNN as one call over those the memo does
+not serve, and keeps no trace.  Backward recomputes one call over all of
+them and sums the slots' gradients per sequence first, which is exact
+because the char CNN's backward is linear in its output gradient.  Only
+real slots are featurized: the real slots of a chunk must be a prefix of
+its window, and feature rows hold them in row-major order.
 
 Only a model from ``load_model`` has a ``char_memo`` (char-id bytes -> the
 char-CNN vector's float64 bytes).  It is filled lazily with the sequences
@@ -95,11 +94,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .chunking import ChunkConfig, ChunkRows, CharSlots, PaddedChunk, chunk_rows
+from .chunking import ChunkBatch, ChunkConfig, PaddedChunk, batch_chunks
 from .corpus import UNK_INDEX, Vocabulary
 from .features import (
     CharCnnParams,
@@ -322,51 +321,7 @@ def init_parameters(
 
 
 # ---------------------------------------------------------------------------
-# Batching
-
-
-@dataclass
-class ChunkBatch:
-    word_ids: np.ndarray  # (B, T) int64
-    pos_ids: np.ndarray  # (B, T) int64
-    mask: np.ndarray  # (B, T) float64, 1.0 at real slots
-    labels: np.ndarray  # (B, T) int64, -1 at pads
-    char_buffer: bytes  # the table's char ids, int64, back to back
-    char_start: np.ndarray  # (B, T) each slot's first char in the buffer, in int64 items
-    char_stop: np.ndarray  # (B, T) one past its last; pads are empty
-
-    @property
-    def size(self) -> int:
-        return self.word_ids.shape[0]
-
-    @property
-    def chars(self) -> list[CharSlots]:
-        """Per chunk, its slots' char-id arrays (views of the buffer)."""
-        flat = np.frombuffer(self.char_buffer, dtype=np.int64)
-        return [CharSlots(flat, *ab) for ab in zip(self.char_start.tolist(), self.char_stop.tolist())]
-
-
-def batch_chunks(chunks: ChunkRows | Sequence[PaddedChunk]) -> ChunkBatch:
-    """The batch of some table rows, or of chunk objects through
-    ``chunking.chunk_rows``: one gather of each token array at
-    ``start[:, None] + arange(window)``, with pads reading the table's PAD
-    token."""
-    rows = chunks if isinstance(chunks, ChunkRows) else chunk_rows(chunks)
-    if not len(rows):
-        raise ValueError("empty chunk batch")
-    table = rows.table
-    slots = np.arange(table.window)
-    mask = slots < rows.real[:, None]
-    token = np.where(mask, rows.start[:, None] + slots, table.n_tokens)
-    return ChunkBatch(
-        word_ids=table.word_ids[token],
-        pos_ids=table.pos_ids[token],
-        mask=mask.astype(np.float64),
-        labels=table.labels[token],
-        char_buffer=table.char_buffer,
-        char_start=table.char_bounds[token],
-        char_stop=table.char_bounds[token + 1],
-    )
+# Dropout
 
 
 @dataclass

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics
-from .chunking import ChunkConfig, ChunkTable, chunk_table, merge_chunk_predictions
+from .chunking import ChunkConfig, ChunkTable, batch_chunks, chunk_table, merge_chunk_predictions
 # Unused here: perfbench's tracer patches this name in this module (perfbench/spans.py).
 from .chunking import chunk_sentence  # noqa: F401
 from .corpus import (
@@ -40,7 +40,6 @@ from .neural import (
     NumericError,
     adam_step,
     backward_from_cache,
-    batch_chunks,
     clip_gradients,
     forward_batch,
     init_parameters,

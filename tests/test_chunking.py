@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -311,6 +312,20 @@ class TestChunkTable:
             for name in ("word_ids", "pos_ids", "labels", "mask"):
                 np.testing.assert_array_equal(getattr(view, name), getattr(chunk, name))
             assert [a.tobytes() for a in view.char_ids] == [a.tobytes() for a in chunk.char_ids]
+        # Batching those objects gives the batch of the table rows.
+        stacked = batch_chunks([views[i] for i in rows])
+        for name in ("word_ids", "pos_ids", "labels", "mask"):
+            np.testing.assert_array_equal(getattr(stacked, name), getattr(batch, name))
+        real = batch.mask > 0
+        for got, want, row in zip(stacked.chars, batch.chars, real):
+            assert [got[t].tobytes() for t in np.flatnonzero(row)] == \
+                [want[t].tobytes() for t in np.flatnonzero(row)]
+        # A chunk whose char ids cover only its real slots still batches.
+        chunk = picked[0]
+        short = dataclasses.replace(chunk, char_ids=tuple(chunk.char_ids[: chunk.real_count]))
+        (slots,) = batch_chunks([short]).chars
+        assert [a.tobytes() for a in slots[: chunk.real_count]] == \
+            [a.tobytes() for a in chunk.char_ids[: chunk.real_count]]
 
     def test_bytes_per_token(self):
         # The table holds four int64 per token (word, POS, label, char bound)

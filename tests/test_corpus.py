@@ -139,13 +139,13 @@ class TestBuildVocab:
         corpus = parse_text("mg N O\nmg N O\nmg N O\nxyzzy N O\n")
         vocab = build_vocab(corpus, min_count=2)
         assert "mg" in vocab.word_to_index
-        assert vocab.word_index("xyzzy") == UNK_INDEX
+        assert vocab.word_to_index.get("xyzzy", UNK_INDEX) == UNK_INDEX
 
     def test_pos_and_chars_indexed_regardless_of_frequency(self):
         corpus = parse_text("q VERB O\n")
         vocab = build_vocab(corpus, min_count=5)
-        assert vocab.word_index("q") == UNK_INDEX
-        assert vocab.pos_index("VERB") != UNK_INDEX
+        assert vocab.word_to_index.get("q", UNK_INDEX) == UNK_INDEX
+        assert vocab.pos_to_index.get("VERB", UNK_INDEX) != UNK_INDEX
         assert vocab.char_indices("q")[0] != UNK_INDEX
 
     def test_indices_dense_with_reserved(self):
@@ -160,7 +160,7 @@ class TestBuildVocab:
         corpus = parse_text("ï N O\nreal N O\n")
         vocab = build_vocab(corpus)
         assert EMPTY_PLACEHOLDER not in vocab.word_to_index
-        assert vocab.word_index(EMPTY_PLACEHOLDER) == UNK_INDEX
+        assert vocab.word_to_index.get(EMPTY_PLACEHOLDER, UNK_INDEX) == UNK_INDEX
 
     def test_min_count_below_one_rejected(self):
         corpus = parse_text("a N O\n")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clinspan.chunking import ChunkConfig, chunk_sentence
-from clinspan.corpus import ParseError, build_vocab
+from clinspan.corpus import UNK_INDEX, ParseError, build_vocab
 from clinspan.features import (
     CharCnnParams,
     EmbeddingTable,
@@ -39,7 +39,7 @@ class TestLoadEmbeddings:
         stream = io.StringIO("1 4\nmg 0.1 -0.2 0.3 4.0\n")
         table = load_embeddings(stream, vocab)
         np.testing.assert_array_equal(
-            table.matrix[vocab.word_index("mg")], [0.1, -0.2, 0.3, 4.0]
+            table.matrix[vocab.word_to_index.get("mg", UNK_INDEX)], [0.1, -0.2, 0.3, 4.0]
         )
         assert table.dim == 4
         dims = ModelDims(word_dim=4, pos_dim=2, char_dim=2, char_filters=2, char_widths=(2,),
@@ -51,8 +51,8 @@ class TestLoadEmbeddings:
         vocab = _vocab()
         first = load_embeddings(io.StringIO("1 8\nmg 1 2 3 4 5 6 7 8\n"), vocab)
         second = load_embeddings(io.StringIO("1 8\nmg 1 2 3 4 5 6 7 8\n"), vocab)
-        row = first.matrix[vocab.word_index("dose")]
-        np.testing.assert_array_equal(row, second.matrix[vocab.word_index("dose")])
+        row = first.matrix[vocab.word_to_index.get("dose", UNK_INDEX)]
+        np.testing.assert_array_equal(row, second.matrix[vocab.word_to_index.get("dose", UNK_INDEX)])
         assert (np.abs(row) <= 0.5 / 8).all()
         assert np.abs(row).max() > 0
 

@@ -556,7 +556,7 @@ class TestCharMemo:
             make_sentence([(w, "O") for w in words]), vocab, config)))
         calls = self._cnn_calls(monkeypatch)
         for oov in ("dog", "sue", "eg", "r", "ode", "lid", "fig", "1r"):
-            assert vocab.word_index(oov) == UNK_INDEX
+            assert vocab.word_to_index.get(oov, UNK_INDEX) == UNK_INDEX
             chunks = chunk_sentence(make_sentence([(w, "O") for w in words + [oov]]), vocab, config)
             batch = batch_chunks(chunks)
             got = forward_batch(loaded, batch).probs.tobytes()
