@@ -7,7 +7,10 @@ consisting of ``-DOCSTART-`` starts a new document.  Labels come from the
 closed set {B, I, O}.
 
 Everything here is a pure function over immutable inputs and safe to call
-concurrently.
+concurrently.  ``parse_corpus`` parses each distinct token line once per call:
+equal lines give one shared ``RawToken`` (it is immutable), up to
+``LINE_MEMO_CAP`` distinct lines.  The memo is local to the call, so no state
+is shared between calls, and token identity is not part of the API.
 """
 from __future__ import annotations
 
@@ -27,6 +30,11 @@ DOC_BOUNDARY = "-DOCSTART-"
 # deliberately non-ASCII so it can never collide with a normalized surface,
 # and it is excluded from vocabularies so lookups resolve to UNK.
 EMPTY_PLACEHOLDER = "□"
+
+# Most distinct token lines one ``parse_corpus`` call remembers: about 6 MB of
+# keys and dict slots at 15-character lines.  Later new lines are parsed each
+# time they occur, so what the memo adds to the parsed tokens stays bounded.
+LINE_MEMO_CAP = 65_536
 
 PAD = "<pad>"
 UNK = "<unk>"
@@ -195,12 +203,18 @@ def parse_corpus(stream: Iterable[str], require_labels: bool = True) -> Annotate
     Surfaces are normalized on ingestion.  With ``require_labels=False``,
     two-column lines (surface, POS) are accepted and labeled O; this is the
     input mode for tagging unlabeled text.
+
+    Equal token lines (after stripping surrounding whitespace) yield one
+    shared ``RawToken`` within a call, for the first ``LINE_MEMO_CAP``
+    distinct lines; a line that raises ParseError is never remembered, so
+    every occurrence reports its own line number.
     """
     sentences: list[AnnotatedSentence] = []
     current: list[RawToken] = []
     doc_ordinal = -1
     note_count = 0
     sent_in_doc = 0
+    memo: dict[str, RawToken] = {}
 
     def flush() -> None:
         nonlocal current, sent_in_doc
@@ -216,7 +230,7 @@ def parse_corpus(stream: Iterable[str], require_labels: bool = True) -> Annotate
             current = []
 
     for line_number, raw_line in enumerate(stream, start=1):
-        line = raw_line.rstrip("\r\n").strip()
+        line = raw_line.strip()
         if not line:
             flush()
             continue
@@ -230,34 +244,42 @@ def parse_corpus(stream: Iterable[str], require_labels: bool = True) -> Annotate
             # Content before any document directive: implicit first document.
             doc_ordinal = 0
             note_count = 1
-        parts = line.split()
-        if len(parts) == 2 and not require_labels:
-            surface_raw, pos = parts
-            label = "O"
-            concept_id = None
-        elif len(parts) in (3, 4):
-            surface_raw, pos, label = parts[:3]
-            concept_id = parts[3] if len(parts) == 4 else None
-        else:
-            raise ParseError(
-                f"expected 3 or 4 whitespace-separated columns, got {len(parts)}",
-                line_number,
-            )
-        if label not in LABELS:
-            raise ParseError(
-                f"unknown label {label!r} (expected one of {', '.join(LABELS)})",
-                line_number,
-            )
-        current.append(
-            RawToken(
-                surface=normalize_token(surface_raw),
-                pos=pos,
-                label=label,
-                concept_id=concept_id,
-            )
-        )
+        token = memo.get(line)
+        if token is None:
+            token = _parse_token(line, require_labels, line_number)
+            if len(memo) < LINE_MEMO_CAP:
+                memo[line] = token
+        current.append(token)
     flush()
     return AnnotatedCorpus(sentences=tuple(sentences), note_count=note_count)
+
+
+def _parse_token(line: str, require_labels: bool, line_number: int) -> RawToken:
+    """One stripped, non-blank token line as a RawToken, or ParseError."""
+    parts = line.split()
+    if len(parts) == 2 and not require_labels:
+        surface_raw, pos = parts
+        label = "O"
+        concept_id = None
+    elif len(parts) in (3, 4):
+        surface_raw, pos, label = parts[:3]
+        concept_id = parts[3] if len(parts) == 4 else None
+    else:
+        raise ParseError(
+            f"expected 3 or 4 whitespace-separated columns, got {len(parts)}",
+            line_number,
+        )
+    if label not in LABELS:
+        raise ParseError(
+            f"unknown label {label!r} (expected one of {', '.join(LABELS)})",
+            line_number,
+        )
+    return RawToken(
+        surface=normalize_token(surface_raw),
+        pos=pos,
+        label=label,
+        concept_id=concept_id,
+    )
 
 
 def serialize_corpus(corpus: AnnotatedCorpus) -> str:

@@ -65,6 +65,62 @@ def parse_text(text: str, **kwargs) -> AnnotatedCorpus:
     return parse_corpus(io.StringIO(text), **kwargs)
 
 
+# Independent oracle for the corpus parser (clinspan.corpus.parse_corpus): the
+# per-line loop that splits, checks, normalizes and builds every token line,
+# repeated or not.
+
+
+def parse_by_loop(lines, require_labels: bool = True) -> AnnotatedCorpus:
+    from clinspan.corpus import DOC_BOUNDARY, LABELS, ParseError, normalize_token
+
+    sentences = []
+    current = []
+    doc_ordinal = -1
+    note_count = 0
+    sent_in_doc = 0
+
+    def flush() -> None:
+        nonlocal current, sent_in_doc
+        if current:
+            sentences.append(AnnotatedSentence(tuple(current), str(max(doc_ordinal, 0)), sent_in_doc))
+            sent_in_doc += 1
+            current = []
+
+    for line_number, raw_line in enumerate(lines, start=1):
+        line = raw_line.rstrip("\r\n").strip()
+        if not line:
+            flush()
+            continue
+        if line == DOC_BOUNDARY:
+            flush()
+            note_count += 1
+            doc_ordinal += 1
+            sent_in_doc = 0
+            continue
+        if doc_ordinal < 0:
+            doc_ordinal = 0
+            note_count = 1
+        parts = line.split()
+        if len(parts) == 2 and not require_labels:
+            surface_raw, pos = parts
+            label = "O"
+            concept_id = None
+        elif len(parts) in (3, 4):
+            surface_raw, pos, label = parts[:3]
+            concept_id = parts[3] if len(parts) == 4 else None
+        else:
+            raise ParseError(
+                f"expected 3 or 4 whitespace-separated columns, got {len(parts)}", line_number
+            )
+        if label not in LABELS:
+            raise ParseError(
+                f"unknown label {label!r} (expected one of {', '.join(LABELS)})", line_number
+            )
+        current.append(RawToken(normalize_token(surface_raw), pos, label, concept_id))
+    flush()
+    return AnnotatedCorpus(tuple(sentences), note_count)
+
+
 # Independent oracles for the span decoder (clinspan.corpus.decode_iob).
 
 

@@ -4,10 +4,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import contextlib
+import io
 import re
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clinspan.cli import PATH_KEYS, build_parser, build_run_config, load_config_file, main
 from clinspan.corpus import parse_corpus
@@ -608,6 +612,60 @@ def test_non_utf8_input_names_file_and_byte(what, code, argv, tmp_path, capsys):
     assert_one_line(
         capsys, f"clinspan: {kind}: {what} {bad} is not UTF-8: byte 0xff at offset 10 (line 2)"
     )
+
+
+_STATS_LINES = (DATA_DIR / "stats_corpus.txt").read_bytes().splitlines(keepends=True)
+
+
+@st.composite
+def mutated_stats_corpora(draw) -> bytes:
+    """``stats_corpus.txt`` after a few line-level mutations: byte flips
+    (which may leave invalid UTF-8), dropped, duplicated and truncated lines,
+    an extra or a missing column, and separators that only ``str.split``
+    treats as whitespace (U+001C, U+0085) or an undecodable 0x85 byte."""
+    lines = list(_STATS_LINES)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if not lines:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        line = lines[i]
+        op = draw(st.sampled_from(["flip", "drop", "dup", "cut", "extra", "missing", "sep"]))
+        if op == "flip" and line:
+            k = draw(st.integers(min_value=0, max_value=len(line) - 1))
+            byte = draw(st.integers(min_value=0, max_value=255))
+            lines[i] = line[:k] + bytes([byte]) + line[k + 1 :]
+        elif op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, line)
+        elif op == "cut":
+            lines[i] = line[: draw(st.integers(min_value=0, max_value=len(line)))]
+        elif op == "extra":
+            lines[i] = line.rstrip(b"\r\n") + b"\tEXTRA\n"
+        elif op == "missing":
+            lines[i] = line.rstrip(b"\r\n").rpartition(b"\t")[0] + b"\n"
+        elif op == "sep":
+            sep = draw(st.sampled_from([b"\x1c", "\x85".encode(), b"\x85"]))
+            lines[i] = line.replace(b"\t", sep)
+    return b"".join(lines)
+
+
+@given(mutated_stats_corpora())
+@settings(max_examples=300, deadline=None)
+def test_mutated_corpus_never_escapes_main(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated_corpus.txt"
+    path.write_bytes(data)
+    gold = str(DATA_DIR / "stats_corpus.txt")
+    for argv in (["stats", str(path)], ["eval", "--gold", gold, "--system", str(path)]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, code, err.getvalue())
+        lines = err.getvalue().splitlines(keepends=True)
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("clinspan: "), lines
+        else:
+            assert lines == []
 
 
 class TestGradcheckCommand:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clinspan import corpus as corpus_module
 from clinspan.chunking import ChunkConfig
 from clinspan.corpus import (
     EMPTY_PLACEHOLDER,
@@ -18,10 +19,11 @@ from clinspan.corpus import (
     corpus_stats,
     format_stats,
     normalize_token,
+    parse_corpus,
     serialize_corpus,
     stratified_split,
 )
-from conftest import count_spans, make_corpus, make_sentence, parse_text
+from conftest import count_spans, make_corpus, make_sentence, parse_by_loop, parse_text
 
 
 class TestNormalizeToken:
@@ -125,6 +127,70 @@ class TestParseCorpus:
     def test_round_trip_is_byte_stable(self, stats_corpus):
         text = serialize_corpus(stats_corpus)
         assert serialize_corpus(parse_text(text)) == text
+
+
+# Lines a corpus file can hold, valid or not.  A drawn corpus picks from a few
+# of them, so lines repeat, as they do in clinical notes.
+_columns = st.one_of(
+    st.tuples(
+        st.sampled_from(["Mg.", "type", "Naïve", "ï"]),
+        st.sampled_from(["NOUN", "NUM"]),
+        st.sampled_from(["B", "I", "O", "Q"]),  # Q is no label
+        st.sampled_from([(), ("X1",)]),
+    ).map(lambda c: [*c[:3], *c[3]]),
+    st.lists(st.sampled_from(["type", "NOUN", "O"]), min_size=1, max_size=5),  # any count
+)
+_token_lines = st.builds(
+    lambda lead, cols, sep, end: lead + sep.join(cols) + end,
+    st.sampled_from(["", " ", "\t"]),
+    _columns,
+    st.sampled_from([" ", "\t", "  ", "\x1c", "\x85"]),
+    st.sampled_from(["", "\n", "\r\n", " \n"]),
+)
+_other_lines = st.sampled_from(["", "\n", " \r\n", "-DOCSTART-\n", " -DOCSTART-\r\n"])
+
+
+def _parse_outcome(parse, lines, require_labels):
+    try:
+        return parse(lines, require_labels=require_labels)
+    except ParseError as exc:
+        return (str(exc), exc.line_number)
+
+
+class TestParseCorpusAgainstLoop:
+    """``parse_corpus`` shares one token between equal lines; the per-line
+    loop in conftest builds every token anew.  Both must read the same."""
+
+    @given(
+        st.lists(st.one_of(_token_lines, _other_lines), min_size=1, max_size=6),
+        st.lists(st.integers(min_value=0, max_value=5), max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_loop(self, pool, picks):
+        lines = [pool[i % len(pool)] for i in picks]
+        for require_labels in (True, False):
+            assert _parse_outcome(parse_corpus, lines, require_labels) == _parse_outcome(
+                parse_by_loop, lines, require_labels
+            )
+
+    def test_equal_lines_share_one_token(self, data_dir):
+        lines = (data_dir / "stats_corpus.txt").read_text(encoding="utf-8").splitlines(True)
+        lines = lines + [" " + line.replace("\n", "\r\n") for line in lines]
+        corpus = parse_corpus(lines)
+        token_lines = {line.strip() for line in lines} - {"", "-DOCSTART-"}
+        tokens = [t for sentence in corpus.sentences for t in sentence.tokens]
+        assert len({id(t) for t in tokens}) == len(token_lines) < len(tokens)
+        assert corpus == parse_by_loop(lines)
+
+    def test_lines_past_the_cap_parse_each_time(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "LINE_MEMO_CAP", 2)
+        distinct = [f"w{i} NOUN O\n" for i in range(50)]
+        lines = distinct + ["\n"] + distinct
+        corpus = parse_corpus(lines)
+        assert corpus == parse_by_loop(lines)
+        tokens = [t for sentence in corpus.sentences for t in sentence.tokens]
+        # Only the first two distinct lines are remembered and shared.
+        assert len({id(t) for t in tokens}) == len(tokens) - 2
 
 
 class TestBuildVocab:
