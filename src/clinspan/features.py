@@ -14,11 +14,15 @@ is the optimizer step (see the neural module).
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import PAD_INDEX, UNK_INDEX, ParseError, Vocabulary
+
+# Values per loadtxt call (1 MB): a large file holds one block of text at a time.
+VALUES_PER_BLOCK = 2**17
 
 
 @dataclass
@@ -67,11 +71,11 @@ class CharTrace:
 def load_embeddings(stream, vocab: Vocabulary) -> EmbeddingTable:
     """Load word2vec-style text embeddings aligned to the vocabulary.
 
-    Header line ``V D`` then lines ``word v1 ... vD``; a value that is not a
-    finite float (``nan``, ``inf``, ``1e309``) is a ParseError.  Vocabulary
-    words missing from the file get a reproducible pseudo-random row drawn
-    uniform in [-0.5/D, 0.5/D] from a hash of the word, so every load is
-    identical.
+    Header line ``V D`` then at least one line ``word v1 ... vD``; a value
+    that is not a finite float (``nan``, ``inf``, ``1e309``) is a ParseError.
+    A repeated word keeps its last row.  Vocabulary words missing from the
+    file get a reproducible pseudo-random row drawn uniform in [-0.5/D, 0.5/D]
+    from a hash of the word, so every load is identical.
     """
     lines = iter(enumerate(stream, start=1))
     try:
@@ -88,31 +92,45 @@ def load_embeddings(stream, vocab: Vocabulary) -> EmbeddingTable:
     if dim < 1:
         raise ParseError("embedding dimension must be >= 1", line_number)
 
-    file_rows: dict[str, np.ndarray] = {}
-    for line_number, line in lines:
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) != dim + 1:
-            raise ParseError(
-                f"expected 1 word + {dim} values, got {len(fields)} fields",
-                line_number,
-            )
+    rows = ((n, parts) for n, line in lines if (parts := line.split(maxsplit=1)))
+    matrix, found = None, set()  # found: vocabulary indices that have a file row
+    while block := list(itertools.islice(rows, max(1, VALUES_PER_BLOCK // dim))):
+        words = [parts[0] for _, parts in block]
+        texts = [parts[1] if len(parts) == 2 else "" for _, parts in block]
+        # loadtxt splits on str.split's whitespace (comments=None: "#" is a value) but skips
+        # a row without values.  If it refuses any row, the block goes through _parse_row.
         try:
-            row = np.array(fields[1:], dtype=np.float64)
+            values = np.loadtxt(texts, comments=None, ndmin=2) if all(texts) else None
         except ValueError:
-            raise ParseError("non-numeric embedding value", line_number) from None
-        if not np.isfinite(row).all():
-            raise ParseError("non-finite embedding value", line_number)
-        file_rows[fields[0]] = row
-
-    matrix = np.zeros((vocab.word_size, dim), dtype=np.float64)
+            values = None
+        if values is None or values.shape != (len(block), dim) or not np.isfinite(values).all():
+            fields = ([word, *text.split()] for word, text in zip(words, texts))  # line.split()
+            values = np.array([_parse_row(f, dim, n) for f, (n, _) in zip(fields, block)])
+        if matrix is None:
+            matrix = np.zeros((vocab.word_size, dim), dtype=np.float64)
+        last = {vocab.word_to_index[w]: i for i, w in enumerate(words) if w in vocab.word_to_index}
+        last.pop(PAD_INDEX, None)
+        matrix[list(last)] = values[list(last.values())]
+        found.update(last)
+    if matrix is None:
+        raise ParseError("no embedding rows after the header", 1)
     for word, index in vocab.word_to_index.items():
-        if index == PAD_INDEX:
-            continue
-        row = file_rows.get(word)
-        matrix[index] = row if row is not None else _hashed_row(word, dim)
+        if index != PAD_INDEX and index not in found:
+            matrix[index] = _hashed_row(word, dim)
     return EmbeddingTable(matrix)
+
+
+def _parse_row(fields: list[str], dim: int, line_number: int) -> np.ndarray:
+    """The values of one ``line.split()`` vector row; the loader's only error rule."""
+    if len(fields) != dim + 1:
+        raise ParseError(f"expected 1 word + {dim} values, got {len(fields)} fields", line_number)
+    try:
+        row = np.array(fields[1:], dtype=np.float64)
+    except ValueError:
+        raise ParseError("non-numeric embedding value", line_number) from None
+    if not np.isfinite(row).all():
+        raise ParseError("non-finite embedding value", line_number)
+    return row
 
 
 def _hashed_row(word: str, dim: int) -> np.ndarray:

@@ -212,3 +212,54 @@ def chunk_by_loop(sentence, vocab, config):
                     labels[o : o + config.window])
         for o in range(0, n_chunks * config.stride, config.stride)
     ]
+
+
+# Independent oracle for the embeddings loader (clinspan.features.load_embeddings):
+# the per-row loop that splits, converts and checks every line on its own.
+# It accepts a header-only file, which the loader refuses.
+
+
+def reference_load_embeddings(stream, vocab) -> np.ndarray:
+    from clinspan.corpus import PAD_INDEX, ParseError
+    from clinspan.features import _hashed_row
+
+    lines = iter(enumerate(stream, start=1))
+    try:
+        line_number, header = next(lines)
+    except StopIteration:
+        raise ParseError("empty embedding file", 1) from None
+    parts = header.split()
+    if len(parts) != 2:
+        raise ParseError("expected header 'V D'", line_number)
+    try:
+        _, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError("expected integer header 'V D'", line_number) from None
+    if dim < 1:
+        raise ParseError("embedding dimension must be >= 1", line_number)
+
+    file_rows: dict[str, np.ndarray] = {}
+    for line_number, line in lines:
+        if not line.strip():
+            continue
+        fields = line.split()
+        if len(fields) != dim + 1:
+            raise ParseError(
+                f"expected 1 word + {dim} values, got {len(fields)} fields",
+                line_number,
+            )
+        try:
+            row = np.array(fields[1:], dtype=np.float64)
+        except ValueError:
+            raise ParseError("non-numeric embedding value", line_number) from None
+        if not np.isfinite(row).all():
+            raise ParseError("non-finite embedding value", line_number)
+        file_rows[fields[0]] = row
+
+    matrix = np.zeros((vocab.word_size, dim), dtype=np.float64)
+    for word, index in vocab.word_to_index.items():
+        if index == PAD_INDEX:
+            continue
+        row = file_rows.get(word)
+        matrix[index] = row if row is not None else _hashed_row(word, dim)
+    return matrix

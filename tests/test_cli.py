@@ -8,16 +8,21 @@ import contextlib
 import io
 import re
 import struct
+import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clinspan import features
 from clinspan.cli import PATH_KEYS, build_parser, build_run_config, load_config_file, main
-from clinspan.corpus import parse_corpus
+from clinspan.corpus import ParseError, build_vocab, parse_corpus
+from clinspan.features import load_embeddings
 from clinspan.tagger import ArchiveError, TrainConfig, load_model
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, reference_load_embeddings
 
 
 def run(*argv):
@@ -666,6 +671,109 @@ def test_mutated_corpus_never_escapes_main(tmp_path_factory, data):
             assert len(lines) == 1 and lines[0].startswith("clinspan: "), lines
         else:
             assert lines == []
+
+
+_EMBEDDING_LINES = (DATA_DIR / "overfit_embeddings.txt").read_bytes().splitlines(keepends=True)
+# Values that are not finite, not numeric, only float() reads, or finite but huge.
+_ODD_VALUES = [b"nan", b"inf", b"-inf", b"1e309", b"9" * 400, b"1_0", b"0x10", b"#", b"1e300"]
+
+
+@st.composite
+def mutated_embeddings(draw) -> bytes:
+    """``overfit_embeddings.txt`` after a few line-level mutations: byte
+    flips, dropped, duplicated, cut and blank lines, the file cut after a
+    line (down to the header alone), an extra or a missing value, a
+    word-only row, one value replaced by an odd one, and separators that
+    only ``str.split`` treats as whitespace or that end a line."""
+    lines = list(_EMBEDDING_LINES)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        line = lines[i]
+        fields = line.rstrip(b"\r\n").split(b" ")
+        op = draw(st.sampled_from(["flip", "drop", "dup", "cut", "blank", "end", "extra",
+                                   "missing", "word", "value", "sep"]))
+        if op == "flip" and line:
+            k = draw(st.integers(min_value=0, max_value=len(line) - 1))
+            byte = draw(st.integers(min_value=0, max_value=255))
+            lines[i] = line[:k] + bytes([byte]) + line[k + 1 :]
+        elif op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, line)
+        elif op == "cut":
+            lines[i] = line[: draw(st.integers(min_value=0, max_value=len(line)))]
+        elif op == "blank":
+            lines.insert(i, draw(st.sampled_from([b"\n", b"  \n", b"\t\r\n"])))
+        elif op == "end":
+            del lines[i + 1 :]
+        elif op == "extra":
+            lines[i] = line.rstrip(b"\r\n") + b" 0.5\n"
+        elif op == "missing":
+            lines[i] = b" ".join(fields[:-1]) + b"\n"
+        elif op == "word":
+            lines[i] = fields[0] + b"\n"
+        elif op == "value" and len(fields) > 1:
+            fields[draw(st.integers(min_value=1, max_value=len(fields) - 1))] = draw(
+                st.sampled_from(_ODD_VALUES))
+            lines[i] = b" ".join(fields) + b"\n"
+        elif op == "sep":
+            sep = draw(st.sampled_from([b"\t", b"\x1c", "\x85".encode(), b"\x85",
+                                        "\xa0".encode(), b"\r"]))
+            lines[i] = line.replace(b" ", sep)
+    return b"".join(lines)
+
+
+def _overfit_vocab():
+    with open(DATA_DIR / "overfit_corpus.txt", encoding="utf-8") as fh:
+        return build_vocab(parse_corpus(fh))
+
+
+@given(mutated_embeddings(), st.sampled_from([16, 16 * 7, 2**17]))
+@settings(max_examples=300, deadline=None)
+def test_mutated_embeddings_load_or_raise(data, block_values):
+    """A finite (V, D) matrix or a ParseError, never a warning, and the same
+    outcome as the per-row oracle (which alone accepts a header-only file)."""
+    vocab = _overfit_vocab()
+    text = data.decode("utf-8", errors="replace")
+    outcomes = []
+    for load in (lambda s, v: load_embeddings(s, v).matrix, reference_load_embeddings):
+        with warnings.catch_warnings(), mock.patch.object(features, "VALUES_PER_BLOCK", block_values):
+            warnings.simplefilter("error")
+            try:
+                outcomes.append(load(io.StringIO(text, newline=None), vocab))
+            except ParseError as err:
+                outcomes.append((str(err), err.line_number))
+    got, expected = outcomes
+    if isinstance(got, np.ndarray):
+        assert got.shape[0] == vocab.word_size and np.isfinite(got).all()
+        assert np.array_equal(got, expected)
+    elif got == ("line 1: no embedding rows after the header", 1):
+        assert not text.partition("\n")[2].strip()
+    else:
+        assert got == expected
+
+
+@given(mutated_embeddings())
+@settings(max_examples=40, deadline=None)
+def test_mutated_embeddings_never_escape_train(tmp_path_factory, data):
+    base = tmp_path_factory.getbasetemp()
+    path, model, history = base / "mutated_emb.txt", base / "fuzz.bin", base / "fuzz.history"
+    path.write_bytes(data)
+    model.unlink(missing_ok=True)
+    history.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(*train_args(model, "--embeddings", str(path), "--history", str(history)))
+    # A finite but huge value (1e300) is legal and may make training diverge (exit 3).
+    assert code in (0, 2, 3), (code, err.getvalue())
+    lines = err.getvalue().splitlines(keepends=True)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("clinspan: "), lines
+        assert not model.exists() and not history.exists()
+    else:
+        assert lines == []
+        load_model(str(model))
+        assert history.read_text()
 
 
 class TestGradcheckCommand:

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clinspan import features
 from clinspan.chunking import ChunkConfig, chunk_sentence
 from clinspan.corpus import UNK_INDEX, ParseError, build_vocab
 from clinspan.features import (
@@ -26,11 +28,59 @@ from clinspan.neural import (
     init_parameters,
 )
 
-from conftest import make_corpus, make_sentence, parse_text
+from conftest import make_corpus, make_sentence, parse_text, reference_load_embeddings
 
 
 def _vocab(text="mg NOUN O\ndose NOUN O\n"):
     return build_vocab(parse_text(text))
+
+
+_ORACLE_CORPUS = "mg NOUN O\ndose NOUN O\nfever NOUN O\n2 NUM O\n"
+# Vocabulary words, out-of-vocabulary words and the PAD name.
+_ORACLE_WORDS = ["mg", "dose", "fever", "2", "zzz", "1.5", "<pad>"]
+# Values that only float() accepts, that nothing accepts, or that are not finite.
+_ODD_VALUES = ["1_0", "0x10", "nan", "-inf", "1e309", "1" * 400, "#1", "1e-320", "+.5", "5.",
+               "\u0661"]
+# Whitespace to str.split; "\r" is also a line break inside a row to loadtxt.
+_SEPARATORS = [" ", "  ", "\t", " \t ", "\x0c", "\x1c", "\xa0", "\u3000", "\r"]
+
+
+@st.composite
+def embedding_files(draw) -> str:
+    """An embeddings file: a valid header, then vector rows with good or odd
+    values, blank lines, short, long and word-only rows, mixed separators
+    and line endings (some files keep to good rows so the bulk path runs)."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    odd, ragged = draw(st.booleans()), draw(st.booleans())
+    good = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(min_value=-1, max_value=1).map(lambda x: f"{x:.6f}"),
+        st.integers(min_value=-(10**6), max_value=10**6).map(str),
+    )
+    value = st.one_of(good, st.sampled_from(_ODD_VALUES)) if odd else good
+    widths = [dim, dim - 1, dim + 1, 0] if ragged else [dim]
+    lines = [f"{draw(st.integers(min_value=0, max_value=9))} {dim}"]
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        fields = [draw(st.sampled_from(_ORACLE_WORDS))]
+        fields += [draw(value) for _ in range(max(draw(st.sampled_from(widths)), 0))]
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        for field in fields:
+            line += field + draw(st.sampled_from(_SEPARATORS))
+        lines.append(line.rstrip(" "))
+    endings = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if draw(st.booleans()):
+        endings[-1] = ""
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+def _load_outcome(load, text, newline, vocab):
+    try:
+        return load(io.StringIO(text, newline=newline), vocab)
+    except ParseError as err:
+        return str(err), err.line_number
 
 
 class TestLoadEmbeddings:
@@ -82,6 +132,45 @@ class TestLoadEmbeddings:
         )
         np.testing.assert_array_equal(table.matrix[0], [0.0, 0.0])
         assert table.matrix.shape == (vocab.word_size, 2)
+
+    def test_header_only_file_refused_before_allocating(self):
+        vocab = _vocab("mg NOUN O\ndose NOUN O\nfever NOUN O\n")
+        with pytest.raises(ParseError, match="no embedding rows after the header") as err:
+            load_embeddings(io.StringIO("1 500000\n\n  \n"), vocab)
+        assert err.value.line_number == 1
+
+    def test_value_only_float_accepts_still_loads(self):
+        vocab = _vocab()
+        table = load_embeddings(io.StringIO("1 2\nmg 1_0 2\n"), vocab)
+        np.testing.assert_array_equal(table.matrix[vocab.word_to_index["mg"]], [10.0, 2.0])
+
+    def test_comment_sign_is_a_value_not_a_comment(self):
+        vocab = _vocab()
+        with pytest.raises(ParseError, match="got 4 fields") as err:
+            load_embeddings(io.StringIO("1 2\nmg 1 2 #x\n"), vocab)
+        assert err.value.line_number == 2
+
+    def test_repeated_word_keeps_last_row(self):
+        vocab = _vocab()
+        table = load_embeddings(io.StringIO("2 2\nmg 1 2\ndose 3 4\nmg 5 6\n"), vocab)
+        np.testing.assert_array_equal(table.matrix[vocab.word_to_index["mg"]], [5.0, 6.0])
+
+    @given(embedding_files(), st.sampled_from([None, "\n"]), st.sampled_from([1, 3, 8, 2**17]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_row_oracle(self, text, newline, block_values):
+        """Same matrix or same (message, line) as the per-row loop, apart
+        from a file without vector rows, which only the loader refuses;
+        small blocks put rows, repeats and errors in later loadtxt calls."""
+        vocab = _vocab(_ORACLE_CORPUS)
+        expected = _load_outcome(reference_load_embeddings, text, newline, vocab)
+        with mock.patch.object(features, "VALUES_PER_BLOCK", block_values):
+            got = _load_outcome(lambda s, v: load_embeddings(s, v).matrix, text, newline, vocab)
+        if isinstance(expected, np.ndarray) and not text.partition("\n")[2].strip():
+            assert got == ("line 1: no embedding rows after the header", 1)
+        elif isinstance(expected, np.ndarray):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, expected), got
+        else:
+            assert got == expected
 
 
 def _single_filter_params(filter_values, bias, char_table):
