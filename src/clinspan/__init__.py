@@ -37,7 +37,6 @@ from .neural import (
     ModelDims,
     ModelParameters,
     adam_step,
-    backward,
     clip_gradients,
     dense_softmax,
     finite_difference_check,

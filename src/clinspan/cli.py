@@ -93,7 +93,8 @@ def load_config_file(path: str) -> dict:
     values = {}
     with _reading(path, "config file", not_utf8=ConfigError):
         text = Path(path).read_text(encoding="utf-8")
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    # Lines end at newlines only, as in a corpus file (see _read_span_file).
+    for line_number, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -293,11 +294,12 @@ def _eval_corpus_mode(gold_path: str, system_path: str) -> metrics.EvalResult:
 def _read_span_file(path: str, which: str) -> dict[tuple[str, int], list[tuple[int, int]]]:
     """Spans by (doc id, sentence index), each list sorted.  Raises DataError
     naming the file and the line of a malformed line, and the file, the
-    sentence and both lines when two spans of one sentence overlap."""
+    sentence and both lines when two spans of one sentence overlap.  Lines
+    end where a corpus file's do: U+0085 or U+2028 inside a line is
+    whitespace, not a line break."""
     spans: dict[tuple[str, int], list[tuple[int, int, int]]] = {}  # (start, end, line)
-    with _reading(path, "span file"):
-        text = Path(path).read_text(encoding="utf-8")
-        for line_number, line in enumerate(text.splitlines(), start=1):
+    with _reading(path, "span file"), open(path, "r", encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             parts = line.split()
@@ -343,15 +345,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    """Check the probe's gradients without dropout and through its fixed
+    dropout plan; one verdict covers both runs."""
     if args.seed < 0:
         raise ConfigError(f"gradcheck seed must be >= 0, got {args.seed}")
-    model, chunk = build_probe(seed=args.seed, trainable_words=args.train_words)
-    try:
-        report = finite_difference_check(model, chunk, step=args.step, tolerance=args.tolerance)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    print(report.format())
-    return 0 if report.ok else 3
+    model, batch, plan = build_probe(seed=args.seed, trainable_words=args.train_words)
+    ok = True
+    for title, run_plan in (("without dropout", None), ("with dropout", plan)):
+        try:
+            report = finite_difference_check(
+                model, batch, run_plan, step=args.step, tolerance=args.tolerance
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        print(f"{title}:\n{report.format()}")
+        ok = ok and report.ok
+    print(f"gradcheck {'passed' if ok else 'FAILED'} "
+          f"(step={args.step:g}, tolerance={args.tolerance:g})")
+    return 0 if ok else 3
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,8 @@ from typing import Callable
 
 import numpy as np
 
-from .chunking import ChunkBatch, ChunkConfig, PaddedChunk, batch_chunks
-from .corpus import UNK_INDEX, Vocabulary
+from .chunking import ChunkBatch, ChunkConfig, batch_chunks, chunk_table
+from .corpus import UNK_INDEX, AnnotatedSentence, RawToken, Vocabulary
 from .features import (
     CharCnnParams,
     CharTrace,
@@ -763,13 +763,6 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
     return grads | gru_grads | feature_grads
 
 
-def backward(model: ModelParameters, chunk: PaddedChunk) -> dict[str, np.ndarray]:
-    """Exact gradients of the chunk's summed cross-entropy against its own
-    labels w.r.t. every trainable tensor (frozen tensors are simply absent
-    from the result)."""
-    return backward_from_cache(model, forward_batch(model, batch_chunks([chunk])))
-
-
 # ---------------------------------------------------------------------------
 # Optimization
 
@@ -849,14 +842,13 @@ class TensorCheck:
 @dataclass
 class GradCheckReport:
     checks: list[TensorCheck]
-    step: float
-    tolerance: float
 
     @property
     def ok(self) -> bool:
         return all(c.status != "failed" for c in self.checks)
 
     def format(self) -> str:
+        """One line per tensor."""
         lines = []
         for c in self.checks:
             if c.status == "skipped":
@@ -868,8 +860,6 @@ class GradCheckReport:
                     f"at {c.worst_coord} (analytic={c.analytic:.6e} "
                     f"numeric={c.numeric:.6e})"
                 )
-        lines.append(f"gradcheck {'passed' if self.ok else 'FAILED'} "
-                     f"(step={self.step:g}, tolerance={self.tolerance:g})")
         return "\n".join(lines)
 
 
@@ -881,12 +871,14 @@ def _coord_rng(name: str) -> np.random.Generator:
 @np.errstate(all="ignore")  # a non-finite difference is reported as a failure
 def finite_difference_check(
     model: ModelParameters,
-    chunk: PaddedChunk,
+    batch: ChunkBatch,
+    plan: DropoutPlan | None = None,
     step: float = GRADCHECK_STEP,
     tolerance: float = GRADCHECK_TOLERANCE,
 ) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences of the
-    loss of the chunk's own labels.
+    """Compare ``backward_from_cache``'s gradients against central finite
+    differences of the objective it differentiates: the batch's summed chunk
+    loss over its chunk count, through ``plan``'s masks held fixed if given.
 
     Samples ``GRADCHECK_COORDS`` coordinates per trainable tensor (all of
     them for small tensors) with deterministic per-tensor sampling;
@@ -897,15 +889,15 @@ def finite_difference_check(
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"gradcheck {name} must be finite and > 0, got {value!r}")
     trainable = trainable_tensor_names(model)
-    batch = batch_chunks([chunk])
 
-    def loss() -> float:
-        return float(forward_batch(model, batch).chunk_losses[0])
+    def loss(cache: ForwardCache) -> float:
+        return float(cache.chunk_losses.sum()) / batch.size
 
-    base = loss()
+    cache = forward_batch(model, batch, plan)
+    base = loss(cache)
     if not np.isfinite(base):
         raise NumericError(f"non-finite loss {base!r}; gradient check aborted")
-    analytic = backward(model, chunk)
+    analytic = backward_from_cache(model, cache)
 
     checks = []
     for name, arr in model.tensors.items():
@@ -924,9 +916,9 @@ def finite_difference_check(
         for flat in sample:
             original = arr.flat[flat]
             arr.flat[flat] = original + step
-            up = loss()
+            up = loss(forward_batch(model, batch, plan))
             arr.flat[flat] = original - step
-            down = loss()
+            down = loss(forward_batch(model, batch, plan))
             arr.flat[flat] = original
             numeric = (up - down) / (2.0 * step)
             a = float(analytic[name].flat[flat])
@@ -941,62 +933,46 @@ def finite_difference_check(
         if check.max_rel_error >= tolerance:
             check.status = "failed"
         checks.append(check)
-    return GradCheckReport(checks=checks, step=step, tolerance=tolerance)
+    return GradCheckReport(checks)
+
+
+# The gradcheck probe's sentences, as surface/POS/label tokens.  The first is
+# longer than the probe's window of 7, so its two chunks overlap; "fade" is
+# out of the vocabulary and appears in every sentence; "zed" has a char that
+# is not in it.
+PROBE_SENTENCES = (
+    "bead/NOUN/B cab/NOUN/I fade/VERB/O ace/ADJ/B bad/NOUN/I dab/NOUN/O fed/VERB/O "
+    "zed/NOUN/B cab/ADJ/O bad/NOUN/B ace/VERB/I fed/NOUN/O",
+    "fade/ADJ/B ace/NOUN/I bad/VERB/O dab/NOUN/B bead/ADJ/O cab/NOUN/O",
+    "dab/NOUN/O fade/NOUN/B fed/ADJ/I",
+)
 
 
 def build_probe(
-    seed: int = 0,
-    hidden: int = 4,
-    word_dim: int = 4,
-    pos_dim: int = 2,
-    char_dim: int = 3,
-    char_filters: int = 2,
-    char_widths: tuple[int, ...] = (3,),
-    window: int = 7,
-    real_tokens: int = 5,
-    trainable_words: bool = False,
-) -> tuple[ModelParameters, PaddedChunk]:
-    """Tiny random model plus one chunk, for gradient verification."""
+    seed: int = 0, trainable_words: bool = False
+) -> tuple[ModelParameters, ChunkBatch, DropoutPlan]:
+    """The inputs of a gradient check: a tiny random model, the batch of the
+    chunk-table rows of ``PROBE_SENTENCES``, and a fixed dropout plan at rate
+    0.5 for that batch.  Its chunks share char sequences, through the
+    overlap and the repeated surfaces, and its char CNN has widths 2 and 3.
+    """
     rng = np.random.default_rng(seed)
-    words = [f"w{i}" for i in range(6)]
     vocab = Vocabulary(
-        word_to_index={"<pad>": 0, "<unk>": 1, **{w: i + 2 for i, w in enumerate(words)}},
+        word_to_index={"<pad>": 0, "<unk>": 1,
+                       **{w: i + 2 for i, w in enumerate(("ace", "bad", "bead", "cab", "dab", "fed"))}},
         pos_to_index={"<pad>": 0, "<unk>": 1, "NOUN": 2, "VERB": 3, "ADJ": 4},
         char_to_index={"<pad>": 0, "<unk>": 1, **{c: i + 2 for i, c in enumerate("abcdef")}},
     )
-    dims = ModelDims(
-        word_dim=word_dim,
-        pos_dim=pos_dim,
-        char_dim=char_dim,
-        char_filters=char_filters,
-        char_widths=char_widths,
-        hidden=hidden,
-        window=window,
-        overlap=ChunkConfig.overlap,
-    )
-    word_matrix = rng.normal(0.0, 0.4, size=(vocab.word_size, word_dim))
+    dims = ModelDims(word_dim=4, pos_dim=2, char_dim=3, char_filters=2, char_widths=(2, 3),
+                     hidden=4, window=7, overlap=2)
+    word_matrix = rng.normal(0.0, 0.4, size=(vocab.word_size, dims.word_dim))
     word_matrix[0] = 0.0
     model = init_parameters(dims, vocab, EmbeddingTable(word_matrix), rng, trainable_words)
-
-    word_ids = np.zeros(window, dtype=np.int64)
-    pos_ids = np.zeros(window, dtype=np.int64)
-    labels = np.full(window, -1, dtype=np.int64)
-    mask = np.zeros(window, dtype=bool)
-    empty = np.zeros(0, dtype=np.int64)
-    chars: list[np.ndarray] = [empty] * window
-    for t in range(real_tokens):
-        word_ids[t] = rng.integers(1, vocab.word_size)
-        pos_ids[t] = rng.integers(2, vocab.pos_size)
-        length = int(rng.integers(1, 7))
-        chars[t] = rng.integers(2, vocab.char_size, size=length)
-        labels[t] = rng.integers(0, 3)
-        mask[t] = True
-    chunk = PaddedChunk(
-        word_ids=word_ids,
-        pos_ids=pos_ids,
-        char_ids=tuple(chars),
-        mask=mask,
-        sentence_offset=0,
-        labels=labels,
-    )
-    return model, chunk
+    sentences = [
+        AnnotatedSentence(tuple(RawToken(*token.split("/")) for token in text.split()), "probe", i)
+        for i, text in enumerate(PROBE_SENTENCES)
+    ]
+    table = chunk_table(sentences, vocab, ChunkConfig(dims.window, dims.overlap))
+    batch = batch_chunks(table.rows(slice(None)))
+    plan = make_dropout_plan(rng, 0.5, batch.size, dims.window, dims.feature_dim, dims.hidden)
+    return model, batch, plan

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import inspect
 import io
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from clinspan import neural
-from clinspan.corpus import AnnotatedCorpus, AnnotatedSentence, RawToken, parse_corpus
+from clinspan.chunking import ChunkConfig, PaddedChunk, batch_chunks
+from clinspan.corpus import AnnotatedCorpus, AnnotatedSentence, RawToken, Vocabulary, parse_corpus
+from clinspan.features import EmbeddingTable
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -33,14 +37,99 @@ def overfit_corpus() -> AnnotatedCorpus:
 def rolled_dense_gradient(monkeypatch):
     """Roll the analytic ``dense.w`` gradient by one position: a gradient bug
     that finite differences must catch."""
-    exact = neural.backward
+    exact = neural.backward_from_cache
 
-    def rolled(model, chunk):
-        grads = exact(model, chunk)
+    def rolled(model, cache):
+        grads = exact(model, cache)
         grads["dense.w"] = np.roll(grads["dense.w"], 1)
         return grads
 
-    monkeypatch.setattr(neural, "backward", rolled)
+    monkeypatch.setattr(neural, "backward_from_cache", rolled)
+
+
+@pytest.fixture
+def assigned_char_gradients(monkeypatch):
+    """``neural._feature_grads`` with one mutation: slots that share a char
+    sequence assign their gradients to it instead of summing them, so only
+    the last slot's gradient reaches the char CNN.  Only a batch whose slots
+    share char sequences can catch it."""
+    summed = "np.add.at(d_chars, cache.char_index, dx[:, d_w + d_p :])"
+    source = textwrap.dedent(inspect.getsource(neural._feature_grads))
+    assert source.count(summed) == 1, "the char-gradient sum changed: update this mutation"
+    mutated: dict = {}
+    exec(source.replace(summed, "d_chars[cache.char_index] = dx[:, d_w + d_p :]"),
+         vars(neural), mutated)
+    monkeypatch.setattr(neural, "_feature_grads", mutated["_feature_grads"])
+
+
+# The hand-built probe: a tiny random model over PROBE_VOCAB plus one chunk
+# of random ids, drawn from one seeded stream.  The GRU-structure tests size
+# it to their case; clinspan.neural.build_probe is the gradient check's probe.
+PROBE_VOCAB = Vocabulary(
+    word_to_index={"<pad>": 0, "<unk>": 1, **{f"w{i}": i + 2 for i in range(6)}},
+    pos_to_index={"<pad>": 0, "<unk>": 1, "NOUN": 2, "VERB": 3, "ADJ": 4},
+    char_to_index={"<pad>": 0, "<unk>": 1, **{c: i + 2 for i, c in enumerate("abcdef")}},
+)
+
+
+def chunk_probe(
+    seed: int = 0,
+    hidden: int = 4,
+    word_dim: int = 4,
+    pos_dim: int = 2,
+    char_dim: int = 3,
+    char_filters: int = 2,
+    char_widths: tuple[int, ...] = (3,),
+    window: int = 7,
+    real_tokens: int = 5,
+    trainable_words: bool = False,
+) -> tuple[neural.ModelParameters, PaddedChunk]:
+    """Tiny random model plus one chunk of ``real_tokens`` random real slots."""
+    rng = np.random.default_rng(seed)
+    dims = neural.ModelDims(
+        word_dim=word_dim,
+        pos_dim=pos_dim,
+        char_dim=char_dim,
+        char_filters=char_filters,
+        char_widths=char_widths,
+        hidden=hidden,
+        window=window,
+        overlap=ChunkConfig.overlap,
+    )
+    word_matrix = rng.normal(0.0, 0.4, size=(PROBE_VOCAB.word_size, word_dim))
+    word_matrix[0] = 0.0
+    model = neural.init_parameters(
+        dims, PROBE_VOCAB, EmbeddingTable(word_matrix), rng, trainable_words
+    )
+
+    word_ids = np.zeros(window, dtype=np.int64)
+    pos_ids = np.zeros(window, dtype=np.int64)
+    labels = np.full(window, -1, dtype=np.int64)
+    mask = np.zeros(window, dtype=bool)
+    empty = np.zeros(0, dtype=np.int64)
+    chars: list[np.ndarray] = [empty] * window
+    for t in range(real_tokens):
+        word_ids[t] = rng.integers(1, PROBE_VOCAB.word_size)
+        pos_ids[t] = rng.integers(2, PROBE_VOCAB.pos_size)
+        length = int(rng.integers(1, 7))
+        chars[t] = rng.integers(2, PROBE_VOCAB.char_size, size=length)
+        labels[t] = rng.integers(0, 3)
+        mask[t] = True
+    chunk = PaddedChunk(
+        word_ids=word_ids,
+        pos_ids=pos_ids,
+        char_ids=tuple(chars),
+        mask=mask,
+        sentence_offset=0,
+        labels=labels,
+    )
+    return model, chunk
+
+
+def chunk_backward(model, chunk: PaddedChunk) -> dict[str, np.ndarray]:
+    """Gradients of one chunk's summed loss against its own labels, for
+    every trainable tensor: the backward of its batch of one."""
+    return neural.backward_from_cache(model, neural.forward_batch(model, batch_chunks([chunk])))
 
 
 def make_sentence(
@@ -188,7 +277,7 @@ def merge_by_loop(pairs):
 def chunk_by_loop(sentence, vocab, config):
     """One sentence's chunks, built token by token with the vocabulary's
     dicts: the construction the chunk table replaced, kept as an oracle."""
-    from clinspan.chunking import PaddedChunk, chunk_count
+    from clinspan.chunking import chunk_count
     from clinspan.corpus import LABEL_TO_INDEX, UNK_INDEX
 
     length = len(sentence)

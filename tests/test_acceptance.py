@@ -59,17 +59,16 @@ def verdict(criterion: str):
 def test_criterion_1_gradient_correctness():
     with verdict("1 gradient correctness"):
         started = time.monotonic()
-        model, chunk = build_probe(
-            seed=0, hidden=4, word_dim=4, pos_dim=2, char_dim=3,
-            char_filters=2, char_widths=(3,), real_tokens=5,
-        )
-        report = finite_difference_check(model, chunk, step=1e-5, tolerance=1e-4)
+        model, batch, plan = build_probe(seed=0)
+        # Without dropout and through the probe's fixed dropout plan.
+        for run_plan in (None, plan):
+            report = finite_difference_check(model, batch, run_plan, step=1e-5, tolerance=1e-4)
+            assert report.ok, report.format()
+            checked = [c for c in report.checks if c.status == "passed"]
+            assert all(c.max_rel_error < 1e-4 for c in checked)
+            # Every trainable tensor is checked; only the frozen word table is not.
+            assert [c.name for c in report.checks if c.status == "skipped"] == ["word_table"]
         elapsed = time.monotonic() - started
-        assert report.ok, report.format()
-        checked = [c for c in report.checks if c.status == "passed"]
-        assert all(c.max_rel_error < 1e-4 for c in checked)
-        # Every trainable tensor is checked; only the frozen word table is not.
-        assert [c.name for c in report.checks if c.status == "skipped"] == ["word_table"]
         assert elapsed < 10.0, f"gradcheck took {elapsed:.1f}s"
 
 

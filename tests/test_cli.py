@@ -247,6 +247,12 @@ class TestTrainCommand:
         assert run("train", "--config", str(config)) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_config_lines_end_only_at_newlines(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("epochs=3\u2028\nwarp_speed=9\n", encoding="utf-8")
+        assert run("train", "--config", str(config)) == 1
+        assert_one_line(capsys, f"clinspan: config error: {config}:2: unknown config key")
+
     def test_bad_config_value_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("epochs=soon\n")
@@ -567,6 +573,20 @@ class TestEvalCommand:
 
 
 class TestParseErrorsNameTheirFile:
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x1c"])
+    def test_span_lines_end_only_at_newlines(self, separator, tmp_path, capsys):
+        # str.splitlines also breaks at these, which numbered every later
+        # line one too high; inside a line they separate fields.
+        gold = tmp_path / "gold.spans"
+        gold.write_text("d1 0 0 2\n", encoding="utf-8")
+        system = tmp_path / "system.spans"
+        system.write_text(f"d1 0 0{separator}2{separator}\nd1 0 x 4\n", encoding="utf-8")
+        assert run("eval", "--gold", str(gold), "--system", str(system),
+                   "--format", "spans") == 2
+        assert capsys.readouterr().err == (
+            f"clinspan: data error: span file {system}: line 2: non-integer span field\n"
+        )
+
     def test_bad_system_span_line(self, tmp_path, capsys):
         gold = tmp_path / "gold.spans"
         gold.write_text("0 0 0 4\n")
@@ -776,21 +796,104 @@ def test_mutated_embeddings_never_escape_train(tmp_path_factory, data):
         assert history.read_text()
 
 
+_SPAN_LINES = [b"d1 0 0 2\n", b"d1 0 3 5\n", b"d1 1 1 4\n", b"\n", b"d2 0 0 1\n", b"d2 3 2 6\n"]
+# Fields that are not plain non-negative integers, or that are huge.
+_ODD_FIELDS = [b"-1", b"+3", b"1.5", b"1e3", b"9" * 5000, b"\xd9\xa3", b"0x10", b"1_0", b"nan", b""]
+
+
+@st.composite
+def mutated_span_files(draw) -> bytes:
+    """A valid span list after a few line-level mutations: byte flips (which
+    may leave invalid UTF-8), dropped, duplicated and cut lines, an extra or
+    a missing field, swapped or shifted bounds, one field replaced by an odd
+    one, and separators that ``str.split`` or ``str.splitlines`` treat
+    differently from a space or a newline, between fields or at the end."""
+    lines = list(_SPAN_LINES)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if not lines:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        line = lines[i]
+        fields = line.rstrip(b"\n").split(b" ")
+        op = draw(st.sampled_from(["flip", "drop", "dup", "cut", "extra", "missing", "swap",
+                                   "shift", "field", "sep"]))
+        if op == "flip" and line:
+            k = draw(st.integers(min_value=0, max_value=len(line) - 1))
+            byte = draw(st.integers(min_value=0, max_value=255))
+            lines[i] = line[:k] + bytes([byte]) + line[k + 1 :]
+        elif op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, line)
+        elif op == "cut":
+            lines[i] = line[: draw(st.integers(min_value=0, max_value=len(line)))]
+        elif op == "extra":
+            lines[i] = line.rstrip(b"\n") + b" 7\n"
+        elif op == "missing":
+            lines[i] = b" ".join(fields[:-1]) + b"\n"
+        elif op == "swap" and len(fields) == 4:
+            lines[i] = b" ".join([*fields[:2], fields[3], fields[2]]) + b"\n"
+        elif op == "shift" and len(fields) == 4:
+            shift = draw(st.integers(min_value=-3, max_value=3))
+            k = draw(st.sampled_from([2, 3]))
+            fields[k] = str(int(fields[k]) + shift).encode()
+            lines[i] = b" ".join(fields) + b"\n"
+        elif op == "field" and len(fields) == 4:
+            fields[draw(st.integers(min_value=0, max_value=3))] = draw(st.sampled_from(_ODD_FIELDS))
+            lines[i] = b" ".join(fields) + b"\n"
+        elif op == "sep":
+            sep = draw(st.sampled_from([b"\t", b"\x1c", "\x85".encode(), b"\x85", b"\r",
+                                        "\u2028".encode(), "\xa0".encode()]))
+            if draw(st.booleans()):
+                lines[i] = line.replace(b" ", sep, draw(st.integers(min_value=1, max_value=3)))
+            else:  # at the end of the line
+                lines[i] = line.rstrip(b"\n") + sep + b"\n"
+    return b"".join(lines)
+
+
+@given(mutated_span_files())
+@settings(max_examples=300, deadline=None)
+def test_mutated_span_file_never_escapes_main(tmp_path_factory, data):
+    base = tmp_path_factory.getbasetemp()
+    valid, path = base / "valid.spans", base / "mutated.spans"
+    valid.write_bytes(b"".join(_SPAN_LINES))
+    path.write_bytes(data)
+    for gold, system in ((valid, path), (path, valid)):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["eval", "--gold", str(gold), "--system", str(system), "--format", "spans"])
+        assert code in (0, 1, 2, 3), (code, err.getvalue())
+        lines = err.getvalue().splitlines(keepends=True)
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("clinspan: "), lines
+            # A named line exists in the file as a text reader splits it.
+            named = [int(n) for n in re.findall(r"line (\d+)", lines[0])]
+            text = data.decode("utf-8", errors="replace")
+            assert all(n <= len(io.StringIO(text, newline=None).readlines()) for n in named), lines
+        else:
+            assert lines == []
+
+
 class TestGradcheckCommand:
-    def test_default_passes(self, capsys):
-        assert run("gradcheck") == 0
-        out = capsys.readouterr().out
-        assert "SKIP word_table (frozen)" in out
-        assert "gradcheck passed" in out
+    @pytest.mark.parametrize("flags", [
+        ("--seed", "0"), ("--seed", "3"), ("--train-words", "true"),
+    ], ids=["seed-0", "seed-3", "train-words"])
+    def test_passes(self, flags, capsys):
+        assert run("gradcheck", *flags) == 0
+        out = capsys.readouterr().out.splitlines()
+        # Both runs list every tensor; one verdict covers them.
+        assert out[0] == "without dropout:" and "with dropout:" in out
+        assert out[-1].startswith("gradcheck passed")
+        skipped = [line for line in out if line.startswith("SKIP")]
+        if "--train-words" in flags:
+            assert skipped == []  # the trainable word table is checked
+        else:
+            assert skipped == ["SKIP word_table (frozen)"] * 2
 
     def test_injected_bug_fails(self, rolled_dense_gradient, capsys):
         assert run("gradcheck") == 3
         out = capsys.readouterr().out
         assert "FAIL dense.w" in out
-
-    def test_trainable_word_table_checked(self, capsys):
-        assert run("gradcheck", "--train-words", "true") == 0
-        assert "SKIP" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags", [
         ("--step", "0"),

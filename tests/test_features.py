@@ -23,12 +23,13 @@ from clinspan.neural import (
     ModelDims,
     ModelParameters,
     batch_chunks,
-    build_probe,
     forward_batch,
     init_parameters,
 )
 
-from conftest import make_corpus, make_sentence, parse_text, reference_load_embeddings
+from conftest import (
+    chunk_probe, make_corpus, make_sentence, parse_text, reference_load_embeddings,
+)
 
 
 def _vocab(text="mg NOUN O\ndose NOUN O\n"):
@@ -315,7 +316,7 @@ class TestCharCnn:
     @given(seqs=st.lists(_tokens, max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_one_call_equals_per_token_reference(self, widths, seqs):
-        params = build_probe(seed=4, char_widths=widths)[0].char_params
+        params = chunk_probe(seed=4, char_widths=widths)[0].char_params
         vectors, trace = char_cnn_trace([np.asarray(s, dtype=np.int64) for s in seqs], params)
         assert vectors.shape == (len(seqs), params.output_dim)
         for wi, width in enumerate(widths):
@@ -344,7 +345,7 @@ class TestCharCnn:
         # 200 short tokens and one 1,000-char token: a padded (N, longest)
         # layout holds about 201 x 1,000 windows per width (tens of MB here),
         # the ragged one about 2,000 (under 1 MB).
-        params = build_probe(seed=0, char_widths=(2, 3))[0].char_params
+        params = chunk_probe(seed=0, char_widths=(2, 3))[0].char_params
         rng = np.random.default_rng(0)
         seqs = [rng.integers(2, 8, size=rng.integers(1, 8)) for _ in range(200)]
         seqs.append(rng.integers(2, 8, size=1000))

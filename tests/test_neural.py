@@ -24,7 +24,6 @@ from clinspan.neural import (
     ModelParameters,
     NumericError,
     adam_step,
-    backward,
     backward_from_cache,
     batch_chunks,
     build_probe,
@@ -43,7 +42,7 @@ from clinspan.neural import (
 from clinspan.neural import _chunk_losses, _sigmoid
 from clinspan.tagger import TrainConfig, format_history, load_model, save_model, train
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, chunk_backward, chunk_probe
 
 
 def gru_cell_forward(x, h_prev, p):
@@ -123,7 +122,7 @@ def _bigru_states(model, chunk, p_fwd, p_bwd):
 class TestBigruForward:
     def test_single_token_both_halves_from_same_input(self):
         rng = np.random.default_rng(2)
-        model, chunk = build_probe(seed=2, hidden=3, window=4, real_tokens=1)
+        model, chunk = chunk_probe(seed=2, hidden=3, window=4, real_tokens=1)
         p = _random_gru(3, model.dims.feature_dim, rng)
         out, _ = _bigru_states(model, chunk, p, p)
         np.testing.assert_allclose(out[0, :3], out[0, 3:], atol=1e-14)
@@ -132,7 +131,7 @@ class TestBigruForward:
         # For x_t = x_{T-1-t} and identical direction parameters, the forward
         # state at t equals the backward state at T-1-t.
         rng = np.random.default_rng(3)
-        model, chunk = build_probe(seed=3, hidden=1, window=3, real_tokens=3)
+        model, chunk = chunk_probe(seed=3, hidden=1, window=3, real_tokens=3)
         mirror = [0, 1, 0]
         chunk = dataclasses.replace(
             chunk,
@@ -149,7 +148,7 @@ class TestBigruForward:
 
     def test_pad_rows_emit_zero(self):
         rng = np.random.default_rng(4)
-        model, chunk = build_probe(seed=4, hidden=4, window=6, real_tokens=2)
+        model, chunk = chunk_probe(seed=4, hidden=4, window=6, real_tokens=2)
         p_f = _random_gru(4, model.dims.feature_dim, rng)
         p_b = _random_gru(4, model.dims.feature_dim, rng)
         out, _ = _bigru_states(model, chunk, p_f, p_b)
@@ -158,7 +157,7 @@ class TestBigruForward:
 
     def test_matches_cell_iteration(self):
         rng = np.random.default_rng(5)
-        model, chunk = build_probe(seed=5, hidden=3, window=4, real_tokens=4)
+        model, chunk = chunk_probe(seed=5, hidden=3, window=4, real_tokens=4)
         p_f = _random_gru(3, model.dims.feature_dim, rng)
         p_b = _random_gru(3, model.dims.feature_dim, rng)
         out, rows = _bigru_states(model, chunk, p_f, p_b)
@@ -237,8 +236,8 @@ class TestMaskedCrossEntropy:
 
 class TestBackward:
     def test_gradcheck_default_probe(self):
-        model, chunk = build_probe(seed=0)
-        report = finite_difference_check(model, chunk)
+        model, batch, _ = build_probe(seed=0)
+        report = finite_difference_check(model, batch)
         assert report.ok
         failed = [c for c in report.checks if c.status == "failed"]
         assert not failed
@@ -247,68 +246,52 @@ class TestBackward:
 
     def test_gradcheck_other_seeds(self):
         for seed in (1, 2):
-            model, chunk = build_probe(seed=seed)
-            report = finite_difference_check(model, chunk)
+            model, batch, _ = build_probe(seed=seed)
+            report = finite_difference_check(model, batch)
             assert report.ok, report.format()
 
     def test_gradcheck_trainable_word_table(self):
-        model, chunk = build_probe(seed=3, trainable_words=True)
-        report = finite_difference_check(model, chunk)
+        model, batch, _ = build_probe(seed=3, trainable_words=True)
+        report = finite_difference_check(model, batch)
         assert report.ok, report.format()
         assert all(c.status != "skipped" for c in report.checks)
 
     def test_gradcheck_through_fixed_dropout_masks(self):
         # Dropout is part of the differentiated graph when the masks are held
         # fixed, so finite differences must still agree.
-        model, chunk = build_probe(seed=4)
-        rng = np.random.default_rng(99)
-        batch = batch_chunks([chunk])
-        plan = make_dropout_plan(
-            rng, 0.5, 1, chunk.window, model.dims.feature_dim, model.dims.hidden
-        )
-        analytic = backward_from_cache(model, forward_batch(model, batch, plan))
-
-        def loss():
-            return float(forward_batch(model, batch, plan).chunk_losses[0])
-
-        tensors = dict(named_tensors(model))
-        rng2 = np.random.default_rng(5)
-        for name in trainable_tensor_names(model):
-            arr = tensors[name]
-            flat_indices = rng2.choice(arr.size, size=min(6, arr.size), replace=False)
-            for flat in flat_indices:
-                if name in ("pos_table", "char_table") and flat < arr.shape[1]:
-                    continue  # frozen PAD row
-                orig = arr.flat[flat]
-                arr.flat[flat] = orig + 1e-5
-                up = loss()
-                arr.flat[flat] = orig - 1e-5
-                down = loss()
-                arr.flat[flat] = orig
-                numeric = (up - down) / 2e-5
-                a = analytic[name].flat[flat]
-                assert abs(a - numeric) / max(abs(a), abs(numeric), 1e-8) < 1e-4
+        model, batch, plan = build_probe(seed=4)
+        report = finite_difference_check(model, batch, plan)
+        assert report.ok, report.format()
 
     def test_mutation_detected(self, rolled_dense_gradient):
-        model, chunk = build_probe(seed=0)
-        report = finite_difference_check(model, chunk)
+        model, batch, _ = build_probe(seed=0)
+        report = finite_difference_check(model, batch)
         assert not report.ok
         assert any(c.name == "dense.w" and c.status == "failed" for c in report.checks)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_assigned_char_gradients_detected(self, assigned_char_gradients, seed):
+        # Only the char tensors' gradients change, and only because the
+        # probe's slots share char sequences.
+        model, batch, _ = build_probe(seed=seed)
+        report = finite_difference_check(model, batch)
+        failed = {c.name for c in report.checks if c.status == "failed"}
+        assert failed and all(name.startswith("char_") for name in failed), report.format()
+
     def test_confident_correct_predictions_have_tiny_dense_gradient(self):
-        model, chunk = build_probe(seed=0)
+        model, chunk = chunk_probe(seed=0)
         # Saturate the bias toward B and make every gold label B: the
         # softmax-minus-onehot factor vanishes.
         model.dense.w[:] = 0.0
         model.dense.b[:] = [50.0, 0.0, 0.0]
         chunk = dataclasses.replace(chunk, labels=np.where(chunk.mask, 0, -1))  # 0 is B
-        grads = backward(model, chunk)
+        grads = chunk_backward(model, chunk)
         assert np.abs(grads["dense.w"]).max() < 1e-15
         assert np.abs(grads["dense.b"]).max() < 1e-15
 
     def test_lengthening_pad_suffix_leaves_gradients_unchanged(self):
-        model, chunk = build_probe(seed=6, window=7, real_tokens=5)
-        grads_small = backward(model, chunk)
+        model, chunk = chunk_probe(seed=6, window=7, real_tokens=5)
+        grads_small = chunk_backward(model, chunk)
         window = 11
         pad = window - chunk.window
         empty = np.zeros(0, dtype=np.int64)
@@ -320,7 +303,7 @@ class TestBackward:
             sentence_offset=0,
             labels=np.concatenate([chunk.labels, np.full(pad, -1, dtype=np.int64)]),
         )
-        grads_wide = backward(model, wider)
+        grads_wide = chunk_backward(model, wider)
         assert set(grads_small) == set(grads_wide)
         for name in grads_small:
             np.testing.assert_allclose(
@@ -329,42 +312,42 @@ class TestBackward:
             )
 
     def test_pad_table_rows_get_zero_gradient(self):
-        model, chunk = build_probe(seed=7, trainable_words=True)
-        grads = backward(model, chunk)
+        model, chunk = chunk_probe(seed=7, trainable_words=True)
+        grads = chunk_backward(model, chunk)
         for name in ("word_table", "pos_table", "char_table"):
             np.testing.assert_array_equal(grads[name][0], np.zeros_like(grads[name][0]))
 
     def test_nonfinite_loss_aborts_check(self):
-        model, chunk = build_probe(seed=0)
+        model, batch, _ = build_probe(seed=0)
         model.dense.b[0] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-            finite_difference_check(model, chunk)
+            finite_difference_check(model, batch)
 
     @pytest.mark.parametrize("kwargs", [
         {"step": 0.0}, {"step": -1e-5}, {"step": float("nan")}, {"step": float("inf")},
         {"tolerance": 0.0}, {"tolerance": float("nan")}, {"tolerance": float("inf")},
     ])
     def test_bad_step_or_tolerance_rejected(self, kwargs):
-        model, chunk = build_probe(seed=0)
+        model, batch, _ = build_probe(seed=0)
         with pytest.raises(ValueError, match="finite and > 0"):
-            finite_difference_check(model, chunk, **kwargs)
+            finite_difference_check(model, batch, **kwargs)
 
     def test_nan_numeric_gradient_fails(self, monkeypatch):
-        # Only the base and analytic forwards are finite: every perturbed
-        # loss is NaN, so every checked tensor must fail rather than pass.
-        model, chunk = build_probe(seed=0)
+        # Only the analytic forward is finite: every perturbed loss is NaN,
+        # so every checked tensor must fail rather than pass.
+        model, batch, _ = build_probe(seed=0)
         original = neural.forward_batch
         calls = []
 
         def nan_after_two(model, batch, plan=None):
             cache = original(model, batch, plan)
             calls.append(None)
-            if len(calls) > 2:
+            if len(calls) > 1:
                 cache.chunk_losses = np.full_like(cache.chunk_losses, np.nan)
             return cache
 
         monkeypatch.setattr(neural, "forward_batch", nan_after_two)
-        report = finite_difference_check(model, chunk)
+        report = finite_difference_check(model, batch)
         assert not report.ok
         assert all(c.status in ("failed", "skipped") for c in report.checks)
 
@@ -403,7 +386,7 @@ class TestClipGradients:
 
 class TestAdam:
     def _model_and_state(self, seed=0):
-        model, _ = build_probe(seed=seed)
+        model = build_probe(seed=seed)[0]
         return model, AdamState.for_model(model)
 
     def _zero_grads(self, model):
@@ -473,7 +456,7 @@ class TestAdam:
 class TestDropout:
     def test_inference_mode_identity(self):
         # Without a plan the GRU reads the feature rows unscaled.
-        model, chunk = build_probe(seed=11)
+        model, chunk = chunk_probe(seed=11)
         cache = forward_batch(model, batch_chunks([chunk]))
         t = chunk.real_count - 1
         np.testing.assert_array_equal(
@@ -482,7 +465,7 @@ class TestDropout:
         assert cache.rec is None
 
     def test_rate_zero_identity(self):
-        model, chunk = build_probe(seed=12)
+        model, chunk = chunk_probe(seed=12)
         batch = batch_chunks([chunk])
         plan = make_dropout_plan(np.random.default_rng(12), 0.0, 1, chunk.window,
                                  model.dims.feature_dim, model.dims.hidden)
@@ -522,8 +505,7 @@ class TestDropout:
 
 class TestForwardDeterminism:
     def test_forward_batch_repeatable(self):
-        model, chunk = build_probe(seed=17)
-        batch = batch_chunks([chunk])
+        model, batch, _ = build_probe(seed=17)
         first = forward_batch(model, batch)
         second = forward_batch(model, batch)
         np.testing.assert_array_equal(first.probs, second.probs)
@@ -560,8 +542,7 @@ def _chunk(chars, labels, window=7, seed=0):
 
 
 def _probe_model(seed=0):
-    model, _ = build_probe(seed=seed, char_widths=(2, 3), trainable_words=True)
-    return model
+    return chunk_probe(seed=seed, char_widths=(2, 3), trainable_words=True)[0]
 
 
 # Probe char ids 2..7 are letters; 0 is PAD, 1 is UNK; -2 and 9 are out of range.
@@ -638,19 +619,17 @@ class TestCharDedupGradients:
         cache = forward_batch(model, batch_chunks(MIXED_CHUNKS))
         assert np.unique(cache.char_index).size < int(cache.batch.mask.sum())
         batched = backward_from_cache(model, cache)
-        per_chunk = [backward(model, chunk) for chunk in MIXED_CHUNKS]
+        per_chunk = [chunk_backward(model, chunk) for chunk in MIXED_CHUNKS]
         assert set(batched) == set(per_chunk[0])
         for name, grad in batched.items():
             mean = sum(g[name] for g in per_chunk) / len(per_chunk)
             np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-12, err_msg=name)
 
     def test_gradcheck_with_shared_char_sequence(self):
-        model, chunk = build_probe(seed=0)
-        shared = (chunk.char_ids[0],) * 2 + tuple(chunk.char_ids[2:])
-        chunk = dataclasses.replace(chunk, char_ids=shared)
-        cache = forward_batch(model, batch_chunks([chunk]))
-        assert np.unique(cache.char_index).size < chunk.real_count
-        report = finite_difference_check(model, chunk)
+        model, batch, _ = build_probe(seed=0)
+        cache = forward_batch(model, batch)
+        assert np.unique(cache.char_index).size < int(batch.mask.sum())
+        report = finite_difference_check(model, batch)
         assert report.ok, report.format()
 
 
@@ -666,27 +645,9 @@ class TestPackedLayout:
             np.random.default_rng(21), 0.5, batch.size, batch.mask.shape[1],
             model.dims.feature_dim, model.dims.hidden,
         )
-        analytic = backward_from_cache(model, forward_batch(model, batch, plan))
-
-        def loss():
-            return float(forward_batch(model, batch, plan).chunk_losses.mean())
-
-        for name, arr in named_tensors(model):
-            eligible = np.arange(arr.size)
-            if name in neural.FROZEN_ROW_TABLES:
-                eligible = eligible[eligible >= arr.shape[1]]
-            rng = np.random.default_rng(len(name))
-            for flat in rng.choice(eligible, size=min(20, eligible.size), replace=False):
-                orig = arr.flat[flat]
-                arr.flat[flat] = orig + 1e-5
-                up = loss()
-                arr.flat[flat] = orig - 1e-5
-                down = loss()
-                arr.flat[flat] = orig
-                numeric = (up - down) / 2e-5
-                a = analytic[name].flat[flat]
-                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-                assert rel < 1e-4, (name, flat, a, numeric)
+        report = finite_difference_check(model, batch, plan)
+        assert report.ok, report.format()
+        assert all(c.status == "passed" for c in report.checks)
 
     def test_dropout_plan_rows_follow_their_chunks(self):
         # Row i of every plan mask belongs to chunk i of the batch, whatever
@@ -752,7 +713,7 @@ class TestTensorInventory:
     PROBE_DIGEST = "b04161cb9d9f0d3ebfc58750f8b90b5c1dc48070032e570208a46ba91a0df438"
 
     def test_init_stream_is_pinned(self):
-        model = build_probe(seed=3, char_widths=(2, 3), hidden=5)[0]
+        model = chunk_probe(seed=3, char_widths=(2, 3), hidden=5)[0]
         digest = hashlib.sha256()
         for _, arr in named_tensors(model):
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -975,7 +936,7 @@ class TestThreadedBackward:
     @staticmethod
     def _cache(monkeypatch, dropout=True, trainable_words=True):
         """A forward over a wide probe batch, computed on one thread."""
-        model, _ = build_probe(seed=13, char_widths=(2, 3), trainable_words=trainable_words)
+        model = chunk_probe(seed=13, char_widths=(2, 3), trainable_words=trainable_words)[0]
         batch = _wide_batch()
         plan = make_dropout_plan(
             np.random.default_rng(23), 0.5, batch.size, batch.mask.shape[1],

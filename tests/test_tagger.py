@@ -23,7 +23,6 @@ from clinspan.neural import (
     AdamState,
     NumericError,
     adam_step,
-    backward,
     backward_from_cache,
     batch_chunks,
     build_probe,
@@ -46,7 +45,8 @@ from clinspan.tagger import (
 )
 
 from conftest import (
-    count_spans, make_corpus, make_sentence, merge_by_loop, parse_text, spans_to_iob,
+    PROBE_VOCAB, chunk_backward, chunk_probe, count_spans, make_corpus, make_sentence,
+    merge_by_loop, spans_to_iob,
 )
 
 
@@ -145,20 +145,7 @@ def _zeroed(model):
 
 class TestAnnotateSentence:
     def _model_vocab(self, seed=0):
-        model, _ = build_probe(seed=seed, window=19)
-        corpus = parse_text("w0 NOUN O\nw1 NOUN O\nw2 NOUN O\nw3 VERB O\nw4 ADJ O\n")
-        vocab = build_vocab(corpus)
-        # The probe model indexes the same reserved layout; rebuild the vocab
-        # the probe was built with instead.
-        from clinspan.corpus import Vocabulary
-
-        vocab = Vocabulary(
-            word_to_index={"<pad>": 0, "<unk>": 1, **{f"w{i}": i + 2 for i in range(6)}},
-            pos_to_index={"<pad>": 0, "<unk>": 1, "NOUN": 2, "VERB": 3, "ADJ": 4},
-            char_to_index={"<pad>": 0, "<unk>": 1,
-                           **{c: i + 2 for i, c in enumerate("abcdef")}},
-        )
-        return model, vocab
+        return chunk_probe(seed=seed, window=19)[0], PROBE_VOCAB
 
     def test_zero_model_tie_break_gives_single_token_b_spans(self):
         model, vocab = self._model_vocab()
@@ -624,7 +611,7 @@ class TestCharMemo:
         clone = loaded.clone()
         for got, expected in (
             (backward_from_cache(loaded, warm), backward_from_cache(clone, forward_batch(clone, batch))),
-            (backward(loaded, chunks[0]), backward(clone, chunks[0])),
+            (chunk_backward(loaded, chunks[0]), chunk_backward(clone, chunks[0])),
         ):
             assert got.keys() == expected.keys()
             for name in got:
