@@ -78,9 +78,9 @@ class ChunkTable:
 
     Tokens are numbered through the sentences in order; one PAD token closes
     the arrays (word and POS PAD, label -1, no chars), so a pad slot reads
-    token ``n_tokens``.  Token k's char ids are ``chars[char_bounds[k]:
-    char_bounds[k + 1]]``, where ``chars`` views ``char_buffer`` as int64, so
-    a char sequence's memo key is a slice of the buffer.  Chunk c covers the
+    token ``n_tokens``.  Token k's char ids are the int64 items of
+    ``char_buffer`` from ``char_bounds[k]`` up to ``char_bounds[k + 1]``, so a
+    char sequence's memo key is a slice of the buffer.  Chunk c covers the
     tokens ``chunk_start[c]`` to ``chunk_start[c] + chunk_real[c] - 1``; the
     chunks run through the sentences in order, each sentence's at offsets 0,
     stride, 2*stride, ...
@@ -105,10 +105,6 @@ class ChunkTable:
     @property
     def n_tokens(self) -> int:
         return len(self.word_ids) - 1
-
-    @property
-    def chars(self) -> np.ndarray:
-        return np.frombuffer(self.char_buffer, dtype=np.int64)
 
     def rows(self, index) -> ChunkRows:
         """The chunks at ``index`` (a slice or an index array), in that order."""

@@ -81,30 +81,29 @@ def _parse_widths(raw: str) -> tuple[int, ...]:
 _PARSERS = {"int": int, "float": float, "bool": _parse_bool, "tuple[int, ...]": _parse_widths}
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw: str, where: str = ""):
     parse = _PARSERS.get(_CONFIG_TYPES[key], str)
     try:
         return parse(raw)
     except ValueError:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from None
+        raise ConfigError(f"{where}bad value for {key}: {raw!r}") from None
 
 
 def load_config_file(path: str) -> dict:
     values = {}
-    with _reading(path, "config file", not_utf8=ConfigError):
-        text = Path(path).read_text(encoding="utf-8")
-    # Lines end at newlines only, as in a corpus file (see _read_span_file).
-    for line_number, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{line_number}: expected key=value")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_TYPES:
-            raise ConfigError(f"{path}:{line_number}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw.strip())
+    with _reading(path, "config file", not_utf8=ConfigError), open(path, encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            where = f"{path}:{line_number}: "
+            if "=" not in stripped:
+                raise ConfigError(f"{where}expected key=value")
+            key, _, raw = stripped.partition("=")
+            key = key.strip()
+            if key not in _CONFIG_TYPES:
+                raise ConfigError(f"{where}unknown config key {key!r}")
+            values[key] = _coerce(key, raw.strip(), where)
     return values
 
 
@@ -152,19 +151,21 @@ def _writing(path: str):
 def _reading(path: str, what: str, not_utf8: type[Exception] = DataError):
     """An unreadable file is a ConfigError; bytes that are not UTF-8 raise
     ``not_utf8`` naming the offset and line of the first bad byte; a
-    ParseError becomes a DataError naming the file."""
+    ParseError or ArchiveError becomes a DataError naming the file.  Lines
+    end where a text-mode reader ends them: at LF, CR LF or a lone CR."""
     try:
         yield
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
-    except ParseError as exc:
+    except (ParseError, ArchiveError) as exc:
         raise DataError(f"{what} {path}: {exc}") from None
     except UnicodeDecodeError:
         data = Path(path).read_bytes()
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            prefix = data[: exc.start].decode("utf-8")
+            line = prefix.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
             raise not_utf8(
                 f"{what} {path} is not UTF-8: byte 0x{data[exc.start]:02x} "
                 f"at offset {exc.start} (line {line})"
@@ -229,10 +230,8 @@ def cmd_tag(args: argparse.Namespace) -> int:
         {"--output": args.output, "--spans-out": args.spans_out},
         {"--model": args.model, "--input": args.input},
     )
-    try:
+    with _reading(args.model, "model"):
         model, vocab = load_model(args.model)
-    except OSError as exc:
-        raise ConfigError(f"cannot read model {args.model}: {exc}") from None
     corpus = _read_corpus(args.input, require_labels=False)
     config = ChunkConfig(window=model.dims.window, overlap=model.dims.overlap)
     sentences = list(corpus.sentences)

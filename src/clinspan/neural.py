@@ -479,7 +479,8 @@ class ForwardCache:
     batch: ChunkBatch
     pack: Packing
     inputs: np.ndarray  # (R, D) feature rows after input dropout
-    char_index: np.ndarray  # per feature row, its distinct char sequence (first-slot order)
+    char_index: np.ndarray  # per feature row, its index into char_keys
+    char_keys: list[bytes]  # distinct char-id sequences as int64 bytes, first-slot order
     gates: np.ndarray  # (2, R, 3H) by packed row: z | r | candidate
     states: np.ndarray  # (2, R, H) by packed row
     rec: np.ndarray | None  # (2, B, H) recurrent masks in packed chunk order
@@ -491,10 +492,11 @@ class ForwardCache:
 
 def _featurize_batch(
     model: ModelParameters, batch: ChunkBatch, pack: Packing
-) -> tuple[np.ndarray, np.ndarray]:
-    """Feature rows of the real slots, plus each row's index into the batch's
-    distinct char-id sequences (in first-slot order).  One ``char_cnn_trace``
-    call computes the sequences the ``char_memo`` does not serve, if any."""
+) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
+    """Feature rows of the real slots, each row's index into the batch's
+    distinct char-id sequences, and those sequences' bytes (in first-slot
+    order).  One ``char_cnn_trace`` call computes the sequences the
+    ``char_memo`` does not serve, if any."""
     char = model.char_params
     memo = model.char_memo
     n_words = model.word_table.matrix.shape[0]
@@ -534,7 +536,7 @@ def _featurize_batch(
             if words[j] > UNK_INDEX and len(memo) < n_words:
                 memo[keys[j]] = vectors[j].tobytes()
     rows[:, d_w + d_p :] = vectors[index]
-    return rows, index
+    return rows, index, keys
 
 
 def forward_batch(
@@ -546,7 +548,7 @@ def forward_batch(
     window.
     """
     pack = _pack(batch.mask)
-    features, char_index = _featurize_batch(model, batch, pack)
+    features, char_index, char_keys = _featurize_batch(model, batch, pack)
     inputs, rec = features, None
     if plan is not None:
         inputs = features * plan.input_mask[pack.slot_i, pack.slot_t]
@@ -563,6 +565,7 @@ def forward_batch(
         pack=pack,
         inputs=inputs,
         char_index=char_index,
+        char_keys=char_keys,
         gates=gates,
         states=states,
         rec=rec,
@@ -714,17 +717,12 @@ def _feature_grads(
     grads["pos_table"] = g_pos
 
     # The char CNN's backward is linear in d(output), so slots that share a
-    # char sequence can sum their gradients first.  One call over the first
-    # slot of each distinct sequence recomputes the trace.
+    # char sequence can sum their gradients first.  One call over the
+    # forward's distinct sequences recomputes the trace.
     char = model.char_params
-    first = np.unique(cache.char_index, return_index=True)[1]
-    i, t = pack.slot_i[first], pack.slot_t[first]
-    flat = np.frombuffer(batch.char_buffer, dtype=np.int64)
-    bounds = zip(batch.char_start[i, t].tolist(), batch.char_stop[i, t].tolist())
-    seqs = [flat[a:b] for a, b in bounds]
-    d_chars = np.zeros((first.size, char.output_dim))
+    d_chars = np.zeros((len(cache.char_keys), char.output_dim))
     np.add.at(d_chars, cache.char_index, dx[:, d_w + d_p :])
-    _, trace = char_cnn_trace(seqs, char)
+    _, trace = char_cnn_trace([np.frombuffer(key, np.int64) for key in cache.char_keys], char)
     g_char_table, g_filters, g_biases = _char_cnn_backward(char, trace, d_chars)
     grads["char_table"] = g_char_table
     for width, gf, gb in zip(char.widths, g_filters, g_biases):

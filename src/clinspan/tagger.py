@@ -209,11 +209,6 @@ def train(
     """
     if len(corpus.sentences) == 0:
         raise ValueError("cannot train on an empty corpus")
-    if embeddings.matrix.shape[0] != vocab.word_size:
-        raise ValueError(
-            f"embedding table has {embeddings.matrix.shape[0]} rows but the "
-            f"vocabulary holds {vocab.word_size} words"
-        )
 
     chunk_config = config.chunk_config
     if len(corpus.sentences) >= 2:

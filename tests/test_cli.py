@@ -258,6 +258,18 @@ class TestTrainCommand:
         config.write_text("epochs=soon\n")
         assert run("train", "--config", str(config)) == 1
 
+    def test_bad_config_value_names_file_and_line(self, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text("# run\nhidden=4\nepochs=abc\n")
+        assert run("train", "--config", str(config)) == 1
+        assert capsys.readouterr().err == (
+            f"clinspan: config error: {config}:3: bad value for epochs: 'abc'\n"
+        )
+
+    def test_bad_flag_value_names_only_the_key(self, tmp_path, capsys):
+        assert run(*train_args(tmp_path / "m.bin", "--epochs", "abc")) == 1
+        assert capsys.readouterr().err == "clinspan: config error: bad value for epochs: 'abc'\n"
+
     @pytest.mark.parametrize("line", ["output=x.txt", "spans_out=s.txt", "dropout=1.5"])
     def test_config_file_outside_train_config_rejected(self, line, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -372,7 +384,14 @@ class TestTagCommand:
         assert run("tag", "--model", str(broken),
                    "--input", str(DATA_DIR / "stats_corpus.txt"),
                    "--output", str(tmp_path / "x.txt")) == 2
+        assert_one_line(capsys, f"clinspan: data error: model {broken}: archive checksum mismatch")
 
+    def test_model_directory_is_config_error(self, tmp_path, capsys):
+        assert run("tag", "--model", str(tmp_path),
+                   "--input", str(DATA_DIR / "stats_corpus.txt"),
+                   "--output", str(tmp_path / "x.txt")) == 1
+        assert_one_line(capsys, f"clinspan: config error: cannot read model {tmp_path}: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_archive_with_wrong_gate_shape_rejected(self, trained, tmp_path, capsys):
         # 4 x 16 holds as many values as the 8 x 8 that hidden 8 calls for.
@@ -618,43 +637,65 @@ class TestParseErrorsNameTheirFile:
         assert not (tmp_path / "m.bin").exists()
 
 
-@pytest.mark.parametrize(
-    "what,code,argv",
-    [
-        ("corpus", 2, lambda bad, tmp: ("stats", bad)),
-        ("embeddings", 2, lambda bad, tmp: train_args(tmp / "m.bin", "--embeddings", bad)),
-        ("span file", 2, lambda bad, tmp: ("eval", "--gold", bad, "--system", bad,
-                                           "--format", "spans")),
-        ("config file", 1, lambda bad, tmp: ("train", "--config", bad)),
-    ],
-    ids=["corpus", "embeddings", "span-file", "config-file"],
-)
-def test_non_utf8_input_names_file_and_byte(what, code, argv, tmp_path, capsys):
+_TEXT_INPUTS = {
+    "corpus": (2, lambda bad, tmp: ("stats", bad)),
+    "embeddings": (2, lambda bad, tmp: train_args(tmp / "m.bin", "--embeddings", bad)),
+    "span file": (2, lambda bad, tmp: ("eval", "--gold", bad, "--system", bad,
+                                       "--format", "spans")),
+    "config file": (1, lambda bad, tmp: ("train", "--config", bad)),
+}
+
+
+@pytest.mark.parametrize("what,end", [
+    pytest.param(what, end, id=what.replace(" ", "-") + suffix)
+    for end, suffix in (("\n", ""), ("\r\n", "-crlf"), ("\r", "-cr"))
+    for what in _TEXT_INPUTS
+])
+def test_non_utf8_input_names_file_and_byte(what, end, tmp_path, capsys):
+    code, argv = _TEXT_INPUTS[what]
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"fever N B\n\xff\xfe N O\n")
+    first = f"fever N B{end}".encode()
+    bad.write_bytes(first + b"\xff\xfe N O" + end.encode())
     assert run(*argv(str(bad), tmp_path)) == code
     kind = "config error" if code == 1 else "data error"
-    assert_one_line(
-        capsys, f"clinspan: {kind}: {what} {bad} is not UTF-8: byte 0xff at offset 10 (line 2)"
-    )
+    assert_one_line(capsys, f"clinspan: {kind}: {what} {bad} is not UTF-8: "
+                            f"byte 0xff at offset {len(first)} (line 2)")
+
+
+def _assert_bad_byte_line(message: str, path) -> None:
+    """A not-UTF-8 message names the line that holds its byte offset, with
+    lines split at LF, CR LF and CR as a text reader splits them."""
+    found = re.search(r"is not UTF-8: byte 0x[0-9a-f]{2} at offset (\d+) \(line (\d+)\)", message)
+    if found is None:
+        return
+    offset, named = map(int, found.groups())
+    end = 0
+    with open(path, encoding="latin-1", newline="") as fh:  # one char per byte
+        for number, line in enumerate(fh, start=1):
+            end += len(line)
+            if offset < end:
+                break
+    assert named == number, message
 
 
 _STATS_LINES = (DATA_DIR / "stats_corpus.txt").read_bytes().splitlines(keepends=True)
 
 
 @st.composite
-def mutated_stats_corpora(draw) -> bytes:
-    """``stats_corpus.txt`` after a few line-level mutations: byte flips
-    (which may leave invalid UTF-8), dropped, duplicated and truncated lines,
-    an extra or a missing column, and separators that only ``str.split``
-    treats as whitespace (U+001C, U+0085) or an undecodable 0x85 byte."""
-    lines = list(_STATS_LINES)
+def mutated_corpora(draw, corpus_lines: list[bytes]) -> bytes:
+    """A corpus after a few line-level mutations: byte flips (which may
+    leave invalid UTF-8), dropped, duplicated and truncated lines, an extra
+    or a missing column, a CR LF or lone CR line end, and separators that
+    only ``str.split`` treats as whitespace (U+001C, U+0085) or an
+    undecodable 0x85 byte."""
+    lines = list(corpus_lines)
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         if not lines:
             break
         i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
         line = lines[i]
-        op = draw(st.sampled_from(["flip", "drop", "dup", "cut", "extra", "missing", "sep"]))
+        op = draw(st.sampled_from(["flip", "drop", "dup", "cut", "extra", "missing", "end",
+                                   "sep"]))
         if op == "flip" and line:
             k = draw(st.integers(min_value=0, max_value=len(line) - 1))
             byte = draw(st.integers(min_value=0, max_value=255))
@@ -669,13 +710,15 @@ def mutated_stats_corpora(draw) -> bytes:
             lines[i] = line.rstrip(b"\r\n") + b"\tEXTRA\n"
         elif op == "missing":
             lines[i] = line.rstrip(b"\r\n").rpartition(b"\t")[0] + b"\n"
+        elif op == "end" and line.endswith(b"\n"):
+            lines[i] = line.rstrip(b"\r\n") + draw(st.sampled_from([b"\r\n", b"\r"]))
         elif op == "sep":
             sep = draw(st.sampled_from([b"\x1c", "\x85".encode(), b"\x85"]))
             lines[i] = line.replace(b"\t", sep)
     return b"".join(lines)
 
 
-@given(mutated_stats_corpora())
+@given(mutated_corpora(_STATS_LINES))
 @settings(max_examples=300, deadline=None)
 def test_mutated_corpus_never_escapes_main(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "mutated_corpus.txt"
@@ -689,6 +732,7 @@ def test_mutated_corpus_never_escapes_main(tmp_path_factory, data):
         lines = err.getvalue().splitlines(keepends=True)
         if code:
             assert len(lines) == 1 and lines[0].startswith("clinspan: "), lines
+            _assert_bad_byte_line(lines[0], path)
         else:
             assert lines == []
 
@@ -836,8 +880,9 @@ def mutated_span_files(draw) -> bytes:
         elif op == "shift" and len(fields) == 4:
             shift = draw(st.integers(min_value=-3, max_value=3))
             k = draw(st.sampled_from([2, 3]))
-            fields[k] = str(int(fields[k]) + shift).encode()
-            lines[i] = b" ".join(fields) + b"\n"
+            if fields[k].isdigit():  # an earlier "sep" may have glued a separator on
+                fields[k] = str(int(fields[k]) + shift).encode()
+                lines[i] = b" ".join(fields) + b"\n"
         elif op == "field" and len(fields) == 4:
             fields[draw(st.integers(min_value=0, max_value=3))] = draw(st.sampled_from(_ODD_FIELDS))
             lines[i] = b" ".join(fields) + b"\n"
@@ -870,8 +915,108 @@ def test_mutated_span_file_never_escapes_main(tmp_path_factory, data):
             named = [int(n) for n in re.findall(r"line (\d+)", lines[0])]
             text = data.decode("utf-8", errors="replace")
             assert all(n <= len(io.StringIO(text, newline=None).readlines()) for n in named), lines
+            _assert_bad_byte_line(lines[0], path)
         else:
             assert lines == []
+
+
+# A tiny model whatever the file says: flags win over the file.
+_SIZE_FLAGS = {"hidden": "4", "pos_dim": "2", "char_dim": "2", "char_filters": "2",
+               "char_widths": "2", "window": "5", "overlap": "1", "batch_size": "4"}
+_CONFIG_LINES = [b"# every key that sets no model size\n", b"epochs=2\n", b"lr=0.01\n",
+                 b"clip_norm=5\n", b"dropout=0.25\n", b"early_stop_patience=2\n", b"seed=7\n",
+                 b"valid_fraction=0.3\n", b"min_count=1\n", b"train_word_embeddings=true\n"]
+_ODD_CONFIG_VALUES = [b"-1", b"1e3", b"nan", b"inf", b"9" * 400, b"1_0", b",", b""]
+
+
+@st.composite
+def mutated_config_files(draw) -> bytes:
+    """A config file that sets every key but the sizes, after a few
+    line-level mutations: byte flips (which may leave invalid UTF-8), dropped,
+    duplicated and cut lines, a missing ``=``, an unknown key, and one value
+    replaced by an odd one."""
+    lines = list(_CONFIG_LINES)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if not lines:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        line = lines[i]
+        op = draw(st.sampled_from(["flip", "drop", "dup", "cut", "no-eq", "unknown", "value"]))
+        if op == "flip" and line:
+            k = draw(st.integers(min_value=0, max_value=len(line) - 1))
+            byte = draw(st.integers(min_value=0, max_value=255))
+            lines[i] = line[:k] + bytes([byte]) + line[k + 1 :]
+        elif op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, line)
+        elif op == "cut":
+            lines[i] = line[: draw(st.integers(min_value=0, max_value=len(line)))]
+        elif op == "no-eq":
+            lines[i] = line.replace(b"=", b" ", 1)
+        elif op == "unknown":
+            lines.insert(i, b"warp_speed=9\n")
+        elif op == "value" and b"=" in line:
+            lines[i] = line.partition(b"=")[0] + b"=" + draw(st.sampled_from(_ODD_CONFIG_VALUES)) + b"\n"
+    return b"".join(lines)
+
+
+@given(mutated_config_files())
+@settings(max_examples=300, deadline=None)
+def test_mutated_config_file_never_escapes_train(tmp_path_factory, data):
+    set_keys = {line.partition(b"=")[0].decode() for line in _CONFIG_LINES[1:]}
+    assert set_keys | set(_SIZE_FLAGS) == {f.name for f in dataclasses.fields(TrainConfig)}
+    base = tmp_path_factory.getbasetemp()
+    path, model, history = base / "mutated.cfg", base / "cfg.bin", base / "cfg.history"
+    path.write_bytes(data)
+    model.unlink(missing_ok=True)
+    history.unlink(missing_ok=True)
+    sizes = [a for key, value in _SIZE_FLAGS.items() for a in ("--" + key.replace("_", "-"), value)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["train", "--config", str(path),
+                     "--corpus", str(DATA_DIR / "overfit_corpus.txt"),
+                     "--embeddings", str(DATA_DIR / "overfit_embeddings.txt"),
+                     "--model", str(model), "--history", str(history), "--epochs", "0", *sizes])
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    lines = err.getvalue().splitlines(keepends=True)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("clinspan: "), lines
+        assert not model.exists() and not history.exists()
+        _assert_bad_byte_line(lines[0], path)
+    else:
+        assert lines == []
+        load_model(str(model))
+
+
+_TAG_LINES = [b"\t".join(line.rstrip(b"\n").split(b"\t")[:2]) + b"\n" for line in _STATS_LINES]
+
+
+@given(mutated_corpora(_TAG_LINES))
+@settings(max_examples=300, deadline=None)
+def test_mutated_tag_input_never_escapes_main(trained, tmp_path_factory, data):
+    base = tmp_path_factory.getbasetemp()
+    path, output, spans = base / "mutated_tag.txt", base / "tagged.txt", base / "tagged.spans"
+    path.write_bytes(data)
+    output.unlink(missing_ok=True)
+    spans.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["tag", "--model", str(trained), "--input", str(path),
+                     "--output", str(output), "--spans-out", str(spans)])
+    assert code in (0, 2), (code, err.getvalue())
+    lines = err.getvalue().splitlines(keepends=True)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("clinspan: "), lines
+        assert not output.exists() and not spans.exists()
+        _assert_bad_byte_line(lines[0], path)
+    else:
+        assert lines == []
+        with open(path, encoding="utf-8") as fh:
+            source = parse_corpus(fh, require_labels=False)
+        with open(output, encoding="utf-8") as fh:
+            tagged = parse_corpus(fh)
+        assert [len(s) for s in tagged.sentences] == [len(s) for s in source.sentences]
 
 
 class TestGradcheckCommand:

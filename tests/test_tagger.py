@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from clinspan import neural, tagger
 from clinspan.chunking import ChunkConfig, chunk_sentence, chunk_table
 from clinspan.corpus import (
-    LABELS, UNK_INDEX, ConceptSpan, build_vocab, decode_iob, stratified_split,
+    LABELS, UNK_INDEX, ConceptSpan, build_vocab, decode_iob, parse_corpus, stratified_split,
 )
-from clinspan.features import EmbeddingTable
+from clinspan.features import EmbeddingTable, load_embeddings
 from clinspan.metrics import prf, span_match_counts
 from clinspan.neural import (
     AdamState,
@@ -45,7 +45,7 @@ from clinspan.tagger import (
 )
 
 from conftest import (
-    PROBE_VOCAB, chunk_backward, chunk_probe, count_spans, make_corpus, make_sentence,
+    DATA_DIR, PROBE_VOCAB, chunk_backward, chunk_probe, count_spans, make_corpus, make_sentence,
     merge_by_loop, spans_to_iob,
 )
 
@@ -290,6 +290,16 @@ class TestTrain:
         bad = EmbeddingTable(np.zeros((3, 4)))
         with pytest.raises(ValueError, match="vocabulary"):
             train(corpus, bad, _small_config(), vocab=vocab)
+
+    def test_embeddings_one_row_short_rejected(self):
+        with open(DATA_DIR / "overfit_corpus.txt", encoding="utf-8") as fh:
+            corpus = parse_corpus(fh)
+        vocab = build_vocab(corpus)
+        with open(DATA_DIR / "overfit_embeddings.txt", encoding="utf-8") as fh:
+            embeddings = load_embeddings(fh, vocab)
+        short = EmbeddingTable(embeddings.matrix[:-1])
+        with pytest.raises(ValueError, match=f"rows for a vocabulary of {vocab.word_size} words"):
+            train(corpus, short, _small_config(epochs=1), vocab=vocab)
 
     def test_pad_rows_stay_zero_after_training(self):
         corpus, vocab, emb = _training_setup()
