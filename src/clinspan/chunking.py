@@ -164,7 +164,8 @@ def chunk_table(
     sentences: Sequence[AnnotatedSentence], vocab: Vocabulary, config: ChunkConfig
 ) -> ChunkTable:
     """The table of the sentences' chunks.  The char ids come from one
-    ``vocab.char_indices`` call over the joined surfaces."""
+    ``vocab.char_indices`` call over the joined surfaces: one
+    ``char_to_index`` lookup per char."""
     lengths = np.array([len(s) for s in sentences], dtype=np.int64)
     if not lengths.all():
         raise ValueError("cannot chunk an empty sentence")

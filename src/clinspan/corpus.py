@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -123,33 +123,19 @@ class AnnotatedCorpus:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense string-to-index maps with PAD=0 and UNK=1 reserved in each."""
+    """Dense string-to-index maps with PAD=0 and UNK=1 reserved in each.
+    ``char_indices`` reads ``char_to_index`` afresh on every call."""
 
     word_to_index: dict[str, int]
     pos_to_index: dict[str, int]
     char_to_index: dict[str, int]
 
     def char_indices(self, text: str) -> np.ndarray:
-        """The char index of every code point of ``text`` (int64): equal to
-        ``[char_to_index.get(c, UNK_INDEX) for c in text]``, by one sorted
-        lookup.  Only one-code-point keys can match, so ``<pad>`` and
-        ``<unk>`` never do; a lone surrogate is a code point like any other."""
-        bounds, values = self._char_steps
-        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        return values[bounds.searchsorted(points, side="right")]
-
-    @cached_property
-    def _char_steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """The char index as a step function of the code point: a point p
-        reads ``values[i]``, where i counts the ``bounds`` at or below p.
-        Each one-code-point key k opens a step at k and closes it at k + 1;
-        every other point reads ``UNK_INDEX``.  Built on first use, so the
-        maps must not change after it."""
-        bounds, values = [0], [UNK_INDEX, UNK_INDEX]  # values[0] is never read: 0 <= p
-        for point, index in sorted((ord(c), i) for c, i in self.char_to_index.items() if len(c) == 1):
-            bounds += [point, point + 1]
-            values += [index, UNK_INDEX]
-        return np.array(bounds, dtype="<u4"), np.array(values, dtype=np.int64)
+        """The char index of every code point of ``text`` (int64), by one
+        ``char_to_index`` lookup each; a char not in it reads ``UNK_INDEX``.
+        Only one-code-point keys can match, so ``<pad>`` and ``<unk>`` never
+        do; a lone surrogate is a code point like any other."""
+        return np.fromiter(map(self.char_to_index.get, text, repeat(UNK_INDEX)), np.int64, len(text))
 
     @property
     def word_size(self) -> int:

@@ -92,14 +92,14 @@ import contextvars
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .chunking import ChunkBatch, ChunkConfig, batch_chunks, chunk_table
-from .corpus import UNK_INDEX, AnnotatedSentence, RawToken, Vocabulary
+from .corpus import LABELS, UNK_INDEX, AnnotatedSentence, RawToken, Vocabulary
 from .features import (
     CharCnnParams,
     CharTrace,
@@ -117,7 +117,8 @@ GRADCHECK_STEP = 1e-5
 GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_COORDS = 20  # coordinates sampled per trainable tensor
 
-# Tables whose row 0 (PAD) stays exactly zero through training.
+# Tables whose row 0 (PAD) stays exactly zero through training:
+# init_parameters zeroes it and backward_from_cache zeroes its gradient.
 FROZEN_ROW_TABLES = ("word_table", "pos_table", "char_table")
 
 # A forward or backward over at least this many real slots splits its GRU
@@ -165,8 +166,13 @@ class ModelDims:
     overlap: int
 
     def __post_init__(self) -> None:
-        """Raises ValueError naming a size below 1, repeated or non-positive
-        char widths, or a window/overlap pair ChunkConfig rejects."""
+        """Raises ValueError naming a size or width that is not an int (bool
+        and float included) or is below 1, repeated char widths, or a
+        window/overlap pair ChunkConfig rejects."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not all(type(v) is int for v in (value if f.name == "char_widths" else [value])):
+                raise ValueError(f"dims must be integers: {f.name} is {value!r}")
         for name in ("word_dim", "pos_dim", "char_dim", "char_filters", "hidden"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
@@ -184,7 +190,7 @@ class ModelDims:
         return self.word_dim + self.pos_dim + self.char_output_dim
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParameters:
     """Every tensor of the tagger, held once in ``tensors``.
 
@@ -195,22 +201,23 @@ class ModelParameters:
     stacked arrays; every other array is adopted as is.  The typed
     attributes (``word_table`` ... ``dense``) are views of the same arrays,
     so a write through any name reaches the one copy the forward reads.
+    Models compare by identity; compare ``tensors`` to compare values.
     """
 
     dims: ModelDims
     tensors: dict[str, np.ndarray]
     word_table_trainable: bool
-    word_table: EmbeddingTable = field(init=False, repr=False, compare=False)
-    pos_table: EmbeddingTable = field(init=False, repr=False, compare=False)
-    char_params: CharCnnParams = field(init=False, repr=False, compare=False)
-    gru_fwd: GruDirectionParams = field(init=False, repr=False, compare=False)
-    gru_bwd: GruDirectionParams = field(init=False, repr=False, compare=False)
-    dense: DenseParams = field(init=False, repr=False, compare=False)
-    gru_w: np.ndarray = field(init=False, repr=False, compare=False)
-    gru_u: np.ndarray = field(init=False, repr=False, compare=False)
-    gru_b: np.ndarray = field(init=False, repr=False, compare=False)
+    word_table: EmbeddingTable = field(init=False, repr=False)
+    pos_table: EmbeddingTable = field(init=False, repr=False)
+    char_params: CharCnnParams = field(init=False, repr=False)
+    gru_fwd: GruDirectionParams = field(init=False, repr=False)
+    gru_bwd: GruDirectionParams = field(init=False, repr=False)
+    dense: DenseParams = field(init=False, repr=False)
+    gru_w: np.ndarray = field(init=False, repr=False)
+    gru_u: np.ndarray = field(init=False, repr=False)
+    gru_b: np.ndarray = field(init=False, repr=False)
     # char-id bytes -> char-CNN vector bytes; only load_model sets one (see the module docstring)
-    char_memo: dict | None = field(default=None, init=False, repr=False, compare=False)
+    char_memo: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.tensors = t = dict(self.tensors)  # gates are rebound here, not in the caller's map
@@ -273,7 +280,7 @@ def tensor_shapes(dims: ModelDims, vocab: Vocabulary) -> list[tuple[str, tuple[i
     gate_shape = {"w": (h, d), "u": (h, h), "b": (h,)}
     shapes += [(f"{prefix}.{gate}", gate_shape[gate[0]])
                for prefix in ("gru_fwd", "gru_bwd") for gate in GruDirectionParams.GATE_NAMES]
-    return shapes + [("dense.w", (3, 2 * h)), ("dense.b", (3,))]
+    return shapes + [("dense.w", (len(LABELS), 2 * h)), ("dense.b", (len(LABELS),))]
 
 
 def trainable_tensor_names(model: ModelParameters) -> list[str]:
@@ -688,7 +695,6 @@ def _char_cnn_backward(
         g_filters[wi] += (d_pre.T @ emb).reshape(n_f, width, char.char_dim)
         d_emb = (d_pre @ filters.reshape(n_f, -1)).reshape(win.shape[0], width, char.char_dim)
         np.add.at(g_table, win, d_emb)
-    g_table[0] = 0.0
     return g_table, g_filters, g_biases
 
 
@@ -709,11 +715,9 @@ def _feature_grads(
     if model.word_table_trainable:
         g_word = np.zeros_like(model.word_table.matrix)
         np.add.at(g_word, batch.word_ids[pack.slot_i, pack.slot_t], dx[:, :d_w])
-        g_word[0] = 0.0
         grads["word_table"] = g_word
     g_pos = np.zeros_like(model.pos_table.matrix)
     np.add.at(g_pos, batch.pos_ids[pack.slot_i, pack.slot_t], dx[:, d_w : d_w + d_p])
-    g_pos[0] = 0.0
     grads["pos_table"] = g_pos
 
     # The char CNN's backward is linear in d(output), so slots that share a
@@ -732,7 +736,8 @@ def _feature_grads(
 
 
 def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str, np.ndarray]:
-    """Gradients of the batch objective (mean over chunks of summed loss)."""
+    """Gradients of the batch objective (mean over chunks of summed loss),
+    with zero PAD rows in the ``FROZEN_ROW_TABLES`` gradients."""
     batch = cache.batch
     b = batch.size
     h_size = model.dims.hidden
@@ -743,7 +748,7 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
     dlogits = (cache.probs - onehot) * active / b
 
     grads: dict[str, np.ndarray] = {}
-    grads["dense.w"] = dlogits.reshape(-1, 3).T @ cache.concat.reshape(-1, 2 * h_size)
+    grads["dense.w"] = dlogits.reshape(-1, len(LABELS)).T @ cache.concat.reshape(-1, 2 * h_size)
     grads["dense.b"] = dlogits.sum(axis=(0, 1))
     pack = cache.pack
     d_real = dlogits[pack.slot_i, pack.slot_t] @ model.dense.w  # (R, 2H)
@@ -758,7 +763,10 @@ def backward_from_cache(model: ModelParameters, cache: ForwardCache) -> dict[str
         gru_grads, feature_grads = _on_helper(weights, features)
     else:
         gru_grads, feature_grads = weights(), features()
-    return grads | gru_grads | feature_grads
+    grads |= gru_grads | feature_grads
+    for name in grads.keys() & FROZEN_ROW_TABLES:
+        grads[name][0] = 0.0
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +972,6 @@ def build_probe(
     dims = ModelDims(word_dim=4, pos_dim=2, char_dim=3, char_filters=2, char_widths=(2, 3),
                      hidden=4, window=7, overlap=2)
     word_matrix = rng.normal(0.0, 0.4, size=(vocab.word_size, dims.word_dim))
-    word_matrix[0] = 0.0
     model = init_parameters(dims, vocab, EmbeddingTable(word_matrix), rng, trainable_words)
     sentences = [
         AnnotatedSentence(tuple(RawToken(*token.split("/")) for token in text.split()), "probe", i)

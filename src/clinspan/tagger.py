@@ -71,8 +71,9 @@ class TrainConfig:
 
     Construction validates every field and raises ValueError naming one out
     of range; the model sizes and the window/overlap pair are checked by
-    ``ModelDims``.  A NaN learning rate is let through on purpose: it is
-    caught by the numeric guards of ``train``.
+    ``ModelDims``, which also rejects a size that is not an int.  A NaN
+    learning rate is let through on purpose: it is caught by the numeric
+    guards of ``train``.
     """
 
     epochs: int = 15
@@ -409,9 +410,6 @@ def _read_header(
         raise ArchiveError(f"archive header has no {exc} entry") from None
     except (ValueError, TypeError, AttributeError) as exc:
         raise ArchiveError(f"malformed archive header: {exc}") from None
-    sizes = [getattr(dims, f.name) for f in dataclasses.fields(dims) if f.name != "char_widths"]
-    if not dims.char_widths or not all(type(v) is int for v in sizes + list(dims.char_widths)):
-        raise ArchiveError(f"archive dims must be integers: {dims_raw}")
     for kind in ("word", "pos", "char"):
         indices = getattr(vocab, f"{kind}_to_index").values()
         if set(indices) != set(range(len(indices))) or not all(type(i) is int for i in indices):

@@ -327,6 +327,16 @@ class TestChunkTable:
         assert [a.tobytes() for a in slots[: chunk.real_count]] == \
             [a.tobytes() for a in chunk.char_ids[: chunk.real_count]]
 
+    @pytest.mark.parametrize("windows, needle", [
+        ((), "empty chunk batch"), ((5, 7), "must share the window size"),
+    ], ids=["no-chunks", "mixed-windows"])
+    def test_unbatchable_chunks_rejected(self, windows, needle):
+        sentence, vocab = _sentence_and_vocab(4)
+        chunks = [c for w in windows
+                  for c in chunk_sentence(sentence, vocab, ChunkConfig(window=w, overlap=1))]
+        with pytest.raises(ValueError, match=needle):
+            batch_chunks(chunks)
+
     def test_bytes_per_token(self):
         # The table holds four int64 per token (word, POS, label, char bound)
         # and one per char: no object per token or per chunk.

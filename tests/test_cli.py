@@ -6,6 +6,7 @@ import json
 import math
 import contextlib
 import io
+import itertools
 import re
 import struct
 import warnings
@@ -182,6 +183,41 @@ class TestTrainCommand:
         assert run(*train_args(model_path, *flags)) == 1
         assert_one_line(capsys, "clinspan: config error:")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--corpus", "", " contains no sentences"),
+        ("--embeddings", "3 0\n", ": line 1: embedding dimension must be >= 1"),
+    ], ids=["no-sentences", "zero-width-embeddings"])
+    def test_unusable_input_is_data_error(self, flag, text, message, tmp_path, capsys):
+        source = tmp_path / "input.txt"
+        source.write_text(text)
+        assert run(*train_args(tmp_path / "m.bin", flag, str(source))) == 2
+        assert capsys.readouterr().err == f"clinspan: data error: {flag[2:]} {source}{message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["input.txt"]
+
+    def test_one_sentence_corpus_validates_on_its_training_loss(self, tmp_path, capsys):
+        # No sentence is left to hold out, so train skips the split: each
+        # epoch's validation loss is its training loss, its F1 is NaN, and
+        # the best epoch is the one with the lowest training loss.  At lr 1
+        # that loss rises after the first epoch, so the last epoch is not it.
+        lines = (DATA_DIR / "overfit_corpus.txt").read_text().splitlines(keepends=True)
+        corpus = tmp_path / "one.txt"
+        corpus.write_text("".join(itertools.takewhile(str.strip, lines)))
+        model_path = tmp_path / "m.bin"
+        args = list(train_args(model_path, "--epochs", "4", "--early-stop-patience", "0",
+                               "--lr", "1"))
+        args[args.index("--corpus") + 1] = str(corpus)
+        assert run(*args) == 0
+        header, *rows, footer = (tmp_path / "m.bin.history").read_text().splitlines()
+        assert header == "# epoch train_loss valid_loss valid_f1"
+        fields = [row.split() for row in rows]
+        assert [f[0] for f in fields] == ["1", "2", "3", "4"]
+        assert all(len(f) == 4 and f[2] == f[1] and f[3] == "nan" for f in fields)
+        losses = [float(f[1]) for f in fields]
+        assert min(losses) < losses[-1]
+        assert footer == f"# best_epoch {losses.index(min(losses)) + 1} stopped_epoch 4"
+        assert run("tag", "--model", str(model_path), "--input", str(corpus),
+                   "--output", str(tmp_path / "tagged.txt")) == 0  # the archive loads
 
     @pytest.mark.parametrize("target", ["--model", "--history"])
     def test_missing_output_directory_fails_before_reading_corpus(self, target, tmp_path, capsys):
@@ -386,6 +422,16 @@ class TestTagCommand:
                    "--output", str(tmp_path / "x.txt")) == 2
         assert_one_line(capsys, f"clinspan: data error: model {broken}: archive checksum mismatch")
 
+    def test_short_archive_is_data_error(self, trained, tmp_path, capsys):
+        short = tmp_path / "short.bin"
+        short.write_bytes(trained.read_bytes()[:8])  # the magic alone
+        assert run("tag", "--model", str(short),
+                   "--input", str(DATA_DIR / "stats_corpus.txt"),
+                   "--output", str(tmp_path / "x.txt")) == 2
+        assert_one_line(
+            capsys, f"clinspan: data error: model {short}: file too short to be a model archive"
+        )
+
     def test_model_directory_is_config_error(self, tmp_path, capsys):
         assert run("tag", "--model", str(tmp_path),
                    "--input", str(DATA_DIR / "stats_corpus.txt"),
@@ -456,11 +502,13 @@ class TestTagCommand:
         (lambda h: h.update(word_table_trainable=1), None, "word_table_trainable is not"),
         (lambda h: h["dims"].update(hidden=8.0), None, "dims must be integers"),
         (lambda h: h["tensors"][-1].__setitem__(1, [3.0]), None, "shapes are not integer"),
+        (lambda h: h["tensors"][-1].__setitem__(0, "dense.x"), None,
+         "manifest does not match the dims (missing: dense.b; unexpected: dense.x)"),
         (None, lambda h, p: p[:-8] + struct.pack("<d", math.nan), "dense.b contains non-finite"),
         (None, lambda h, p: p[:-24], "truncated while reading tensor dense.b"),
         (None, lambda h, p: p + bytes(8), "trailing bytes"),
-    ], ids=["trainable-flag", "float-dim", "float-shape", "nan-value", "tensor-short",
-            "trailing-bytes"])
+    ], ids=["trainable-flag", "float-dim", "float-shape", "unknown-tensor", "nan-value",
+            "tensor-short", "trailing-bytes"])
     def test_archive_guard(self, edit, edit_payload, needle, trained, tmp_path, capsys):
         self._assert_rejected(trained, tmp_path, capsys, edit, needle, edit_payload)
 
@@ -493,6 +541,18 @@ class TestTagCommand:
             load_model(str(edited))
 
 
+@pytest.mark.parametrize("command", ["train", "tag"])
+def test_output_that_is_a_directory_is_config_error(command, trained, tmp_path, capsys):
+    target = tmp_path / "out"
+    target.mkdir()
+    args = train_args(target) if command == "train" else (
+        "tag", "--model", str(trained), "--input", str(DATA_DIR / "stats_corpus.txt"),
+        "--output", str(target))
+    assert run(*args) == 1
+    assert_one_line(capsys, f"clinspan: config error: cannot write {target}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"] and not any(target.iterdir())
+
+
 class TestEvalCommand:
     def test_gold_against_itself(self, capsys):
         gold = str(DATA_DIR / "stats_corpus.txt")
@@ -519,6 +579,13 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[1].startswith("0.33 0.50 0.40")
         assert "tp=1" in out and "fp=2" in out and "fn=1" in out
+
+    def test_empty_corpora_score_accuracy_one(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        assert run("eval", "--gold", str(empty), "--system", str(empty), "--porcelain") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "accuracy=1.000000" in out and "tokens=0" in out
 
     def test_misaligned_files_rejected(self, tmp_path, capsys):
         gold = tmp_path / "gold.txt"
@@ -1021,8 +1088,8 @@ def test_mutated_tag_input_never_escapes_main(trained, tmp_path_factory, data):
 
 class TestGradcheckCommand:
     @pytest.mark.parametrize("flags", [
-        ("--seed", "0"), ("--seed", "3"), ("--train-words", "true"),
-    ], ids=["seed-0", "seed-3", "train-words"])
+        ("--seed", "0"), ("--seed", "3"), ("--train-words", "true"), ("--train-words", "false"),
+    ], ids=["seed-0", "seed-3", "train-words", "frozen-words"])
     def test_passes(self, flags, capsys):
         assert run("gradcheck", *flags) == 0
         out = capsys.readouterr().out.splitlines()
@@ -1030,7 +1097,7 @@ class TestGradcheckCommand:
         assert out[0] == "without dropout:" and "with dropout:" in out
         assert out[-1].startswith("gradcheck passed")
         skipped = [line for line in out if line.startswith("SKIP")]
-        if "--train-words" in flags:
+        if "true" in flags:
             assert skipped == []  # the trainable word table is checked
         else:
             assert skipped == ["SKIP word_table (frozen)"] * 2

@@ -407,3 +407,9 @@ class TestCharIndices:
         ]
         assert self._vocab(["\udfff"]).char_indices("\udfff\ud800").tolist() == [2, UNK_INDEX]
         assert vocab.char_indices("").tolist() == []
+
+    def test_reads_chars_added_after_a_call(self):
+        vocab = self._vocab("a")
+        assert vocab.char_indices("ab").tolist() == [2, UNK_INDEX]
+        vocab.char_to_index["b"] = 3
+        assert vocab.char_indices("ab").tolist() == [2, 3]

@@ -42,7 +42,7 @@ from clinspan.neural import (
 from clinspan.neural import _chunk_losses, _sigmoid
 from clinspan.tagger import TrainConfig, format_history, load_model, save_model, train
 
-from conftest import DATA_DIR, chunk_backward, chunk_probe
+from conftest import DATA_DIR, PROBE_VOCAB, chunk_backward, chunk_probe
 
 
 def gru_cell_forward(x, h_prev, p):
@@ -331,6 +331,19 @@ class TestBackward:
         model, batch, _ = build_probe(seed=0)
         with pytest.raises(ValueError, match="finite and > 0"):
             finite_difference_check(model, batch, **kwargs)
+
+    def test_pad_rows_get_zero_gradient(self):
+        # A real slot that reads the PAD word and POS rows, and char windows
+        # that read the PAD char row: row 0 of each table's gradient is zero.
+        model, batch, _ = build_probe(seed=0, trainable_words=True)
+        batch = dataclasses.replace(batch, word_ids=batch.word_ids.copy(),
+                                    pos_ids=batch.pos_ids.copy())
+        batch.word_ids[0, 0] = batch.pos_ids[0, 0] = 0
+        grads = backward_from_cache(model, forward_batch(model, batch))
+        assert set(neural.FROZEN_ROW_TABLES) <= set(grads)
+        for name in neural.FROZEN_ROW_TABLES:
+            np.testing.assert_array_equal(grads[name][0], 0.0, err_msg=name)
+            assert np.abs(grads[name][1:]).max() > 0, name
 
     def test_nan_numeric_gradient_fails(self, monkeypatch):
         # Only the analytic forward is finite: every perturbed loss is NaN,
@@ -705,6 +718,14 @@ class TestPackedLayout:
             assert not any(np.shares_memory(a, b) for b in stored(copy))
         assert np.shares_memory(copy.gru_fwd.w_h, copy.gru_w)
 
+    def test_models_compare_by_identity(self):
+        # A generated __eq__ compared the tensor dicts and raised on arrays.
+        model = _probe_model(seed=12)
+        copy = model.clone()
+        assert (model == copy) is False and model != copy
+        assert model == model
+        assert len({model, copy, model}) == 2
+
 
 class TestTensorInventory:
     # sha256 of the float64 bytes of every tensor in named_tensors order, as
@@ -718,6 +739,13 @@ class TestTensorInventory:
         for _, arr in named_tensors(model):
             digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         assert digest.hexdigest() == self.PROBE_DIGEST
+
+    def test_word_table_of_another_width_rejected(self):
+        dims = ModelDims(word_dim=3, pos_dim=2, char_dim=4, char_filters=5, char_widths=(3,),
+                         hidden=6, window=7, overlap=2)
+        words = EmbeddingTable(np.ones((PROBE_VOCAB.word_size, 4)))
+        with pytest.raises(ValueError, match="word table dim 4 != configured word_dim 3"):
+            init_parameters(dims, PROBE_VOCAB, words, np.random.default_rng(0))
 
     @pytest.mark.parametrize("widths, trainable", [((3,), False), ((2, 4), True), ((2, 3), False)])
     def test_shapes_match_the_initialized_model(self, widths, trainable, tmp_path):

@@ -301,6 +301,11 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"rows for a vocabulary of {vocab.word_size} words"):
             train(corpus, short, _small_config(epochs=1), vocab=vocab)
 
+    def test_empty_corpus_rejected(self):
+        _, vocab, emb = _training_setup()
+        with pytest.raises(ValueError, match="cannot train on an empty corpus"):
+            train(make_corpus([]), emb, _small_config(), vocab=vocab)
+
     def test_pad_rows_stay_zero_after_training(self):
         corpus, vocab, emb = _training_setup()
         model, _ = train(corpus, emb, _small_config(epochs=3), vocab=vocab)
@@ -369,6 +374,8 @@ class TestTrainConfigValidation:
         ("char_dim", 0), ("char_filters", 0), ("char_widths", ()), ("char_widths", (0,)),
         ("char_widths", (3, -1)), ("char_widths", (3, 3)), ("hidden", 0), ("min_count", 0),
         ("overlap", 0), ("overlap", 19), ("window", 2),
+        # Sizes that are not ints used to pass here and fail inside train.
+        ("hidden", 8.0), ("hidden", True), ("window", 7.5), ("char_widths", (2.0,)),
     ])
     def test_out_of_range_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
